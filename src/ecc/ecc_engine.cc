@@ -10,8 +10,8 @@ namespace esd
 namespace
 {
 
-/** The default engine: the existing bit-sliced per-word Hamming(72,64)
- * SEC-DED codec, wrapped unchanged so `ecc.engine = hamming` is
+/** The default engine: the per-word Hamming(72,64) SEC-DED codec of
+ * LineEccCodec, wrapped unchanged so `ecc.engine = hamming` is
  * bit-identical to the pre-engine simulator. */
 class HammingEngine final : public EccEngine
 {

@@ -57,23 +57,25 @@ parity64(std::uint64_t v)
     return static_cast<unsigned>(std::popcount(v) & 1);
 }
 
-/**
- * Transpose an 8x8 bit matrix held row-per-byte in a 64-bit word
- * (row i = byte i, bit j of row i = matrix element [i][j]) using the
- * three masked-swap steps of Hacker's Delight 7-3.
- */
-inline std::uint64_t
-transpose8x8(std::uint64_t x)
+/** Per-byte check contributions: t[k][v] = encode(v << 8k). SEC-DED
+ * (overall parity included) is linear over GF(2), so a word's check
+ * byte is the XOR of its eight byte entries. Built from the scalar
+ * encode() after tbl, which it depends on. */
+struct ByteTables
 {
-    std::uint64_t t;
-    t = (x ^ (x >> 7)) & 0x00aa00aa00aa00aaull;
-    x ^= t ^ (t << 7);
-    t = (x ^ (x >> 14)) & 0x0000cccc0000ccccull;
-    x ^= t ^ (t << 14);
-    t = (x ^ (x >> 28)) & 0x00000000f0f0f0f0ull;
-    x ^= t ^ (t << 28);
-    return x;
-}
+    std::uint8_t t[8][256];
+
+    ByteTables()
+    {
+        for (unsigned k = 0; k < 8; ++k) {
+            for (unsigned v = 0; v < 256; ++v)
+                t[k][v] = Hamming72::encode(
+                    static_cast<std::uint64_t>(v) << (8 * k));
+        }
+    }
+};
+
+const ByteTables byteTbl;
 
 } // namespace
 
@@ -82,6 +84,13 @@ Hamming72::checkMask(unsigned c)
 {
     esd_assert(c < 7, "check index out of range");
     return tbl.mask[c];
+}
+
+std::uint8_t
+Hamming72::byteCheck(unsigned k, std::uint8_t v)
+{
+    esd_assert(k < 8, "byte index out of range");
+    return byteTbl.t[k][v];
 }
 
 unsigned
@@ -109,46 +118,14 @@ Hamming72::encode(std::uint64_t data)
 void
 Hamming72::encodeLine(const std::uint64_t words[8], std::uint8_t checks[8])
 {
-    // Gather the 64 column bytes of the line: col[b] bit j = data bit b
-    // of words[j]. Eight 8x8 block transposes, one per byte lane.
-    std::uint8_t col[64];
-    for (unsigned k = 0; k < 8; ++k) {
-        std::uint64_t m = 0;
-        for (unsigned j = 0; j < 8; ++j)
-            m |= ((words[j] >> (8 * k)) & 0xffull) << (8 * j);
-        std::uint64_t t = transpose8x8(m);
-        for (unsigned b = 0; b < 8; ++b)
-            col[8 * k + b] = static_cast<std::uint8_t>(t >> (8 * b));
+    for (unsigned j = 0; j < 8; ++j) {
+        const std::uint64_t w = words[j];
+        checks[j] = static_cast<std::uint8_t>(
+            byteTbl.t[0][w & 0xff] ^ byteTbl.t[1][(w >> 8) & 0xff] ^
+            byteTbl.t[2][(w >> 16) & 0xff] ^ byteTbl.t[3][(w >> 24) & 0xff] ^
+            byteTbl.t[4][(w >> 32) & 0xff] ^ byteTbl.t[5][(w >> 40) & 0xff] ^
+            byteTbl.t[6][(w >> 48) & 0xff] ^ byteTbl.t[7][w >> 56]);
     }
-
-    // Bit-sliced parity accumulation: acc[c] bit j = Hamming check c of
-    // words[j]; one byte XOR covers all eight words at once.
-    std::uint8_t acc[7] = {0, 0, 0, 0, 0, 0, 0};
-    std::uint8_t all = 0;  // bit j = parity of words[j]'s 64 data bits
-    for (unsigned b = 0; b < 64; ++b) {
-        std::uint8_t v = col[b];
-        all ^= v;
-        unsigned pos = tbl.dataToPos[b];
-        for (unsigned c = 0; c < 7; ++c) {
-            if (pos & (1u << c))
-                acc[c] ^= v;
-        }
-    }
-
-    // Overall-parity slice: parity(data) ^ parity(checks 0..6), lanewise.
-    std::uint8_t q = 0;
-    for (unsigned c = 0; c < 7; ++c)
-        q ^= acc[c];
-    const std::uint8_t acc7 = static_cast<std::uint8_t>(all ^ q);
-
-    // Transpose the eight check slices back into per-word check bytes.
-    std::uint64_t m = 0;
-    for (unsigned c = 0; c < 7; ++c)
-        m |= static_cast<std::uint64_t>(acc[c]) << (8 * c);
-    m |= static_cast<std::uint64_t>(acc7) << 56;
-    std::uint64_t t = transpose8x8(m);
-    for (unsigned j = 0; j < 8; ++j)
-        checks[j] = static_cast<std::uint8_t>(t >> (8 * j));
 }
 
 EccDecodeResult

@@ -58,7 +58,8 @@ struct EccDecodeResult
  * Stateless Hamming(72,64) SEC-DED encoder/decoder.
  *
  * All methods are static; the class exists to group the parity-mask
- * tables, which are computed once at namespace-scope initialisation.
+ * and per-byte check tables, which are computed once at namespace-scope
+ * initialisation.
  */
 class Hamming72
 {
@@ -70,15 +71,13 @@ class Hamming72
     static std::uint8_t encode(std::uint64_t data);
 
     /**
-     * Word-parallel bit-sliced encode of a full cache line: computes
-     * the check bytes of all eight 64-bit words in one pass.
+     * Table-driven encode of a full cache line: the check bytes of all
+     * eight 64-bit words.
      *
-     * The line is transposed into 64 column bytes (bit j of column b =
-     * bit b of word j), every Hamming check then accumulates whole
-     * columns with single-byte XORs, so the eight words share each
-     * parity reduction instead of running eight independent
-     * popcount-per-mask encodes. Bit-identical to calling encode() on
-     * each word — encodeLineScalar() is the reference oracle.
+     * The code is linear over GF(2), so a word's check byte is the XOR
+     * of the contributions of its eight bytes, each read from a
+     * 256-entry table (byteCheck()). Bit-identical to calling encode()
+     * on each word — encodeLineScalar() is the reference oracle.
      *
      * @param words  the eight 64-bit data words of one line
      * @param checks receives the eight check bytes (checks[i] protects
@@ -111,6 +110,11 @@ class Hamming72
     {
         return encode(data) == check;
     }
+
+    /** Check byte of the word whose only non-zero byte is byte @p k
+     * (0..7) with value @p v — the table entry encodeLine() XORs;
+     * exposed so tests can check every entry against encode(). */
+    static std::uint8_t byteCheck(unsigned k, std::uint8_t v);
 
     /** Data-bit parity coverage mask of Hamming check @p c (0..6) —
      * exposed so tests can validate the code's linear structure. */

@@ -46,7 +46,7 @@ class LineEccCodec
 {
   public:
     /** Compute the 64-bit ECC of @p line (check byte i = word i) with
-     * the bit-sliced whole-line encoder (one pass over all 8 words). */
+     * the table-driven whole-line encoder, Hamming72::encodeLine(). */
     static LineEcc
     encode(const CacheLine &line)
     {
@@ -62,7 +62,7 @@ class LineEccCodec
     }
 
     /** Reference oracle for encode(): eight independent scalar word
-     * encodes (the pre-bit-slicing implementation). */
+     * encodes through Hamming72::encode(). */
     static LineEcc
     encodeScalar(const CacheLine &line)
     {
@@ -88,9 +88,27 @@ class LineEccCodec
      * Applies per-word SEC-DED: single-bit errors in any word are
      * corrected independently; any word with a double error marks the
      * whole line Uncorrectable.
+     *
+     * A clean line is the common case and takes one line encode and a
+     * compare: a word decodes Ok exactly when its recomputed check
+     * byte equals the stored one, so the per-word decode loop runs
+     * only when some check byte differs.
      */
     static LineDecodeResult
     decode(const CacheLine &line, LineEcc ecc)
+    {
+        if (encode(line) != ecc)
+            return decodeScalar(line, ecc);
+        LineDecodeResult out;
+        out.line = line;
+        out.ecc = ecc;
+        return out;
+    }
+
+    /** Reference oracle for decode(): the per-word Hamming72::decode()
+     * loop with no clean-line shortcut. */
+    static LineDecodeResult
+    decodeScalar(const CacheLine &line, LineEcc ecc)
     {
         LineDecodeResult out;
         out.line = line;

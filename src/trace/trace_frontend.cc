@@ -1,8 +1,9 @@
 #include "trace/trace_frontend.hh"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstring>
-#include <stdexcept>
 
 #include <zlib.h>
 
@@ -19,8 +20,8 @@ constexpr char kMagic[4] = {'E', 'S', 'D', 'T'};
 /** Compressed-side window the gzip inflater reads through. */
 constexpr std::size_t kGzipChunk = 64 * 1024;
 
-/** Raw-byte window the text line scanner reads through. */
-constexpr std::size_t kTextChunk = 16 * 1024;
+/** Read buffer of every ByteStream (raw file bytes or inflated ones). */
+constexpr std::size_t kStreamChunk = 64 * 1024;
 
 std::uint64_t
 splitmix64(std::uint64_t x)
@@ -31,16 +32,59 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** Nibble value of every byte: 0..15 for a hex digit, -1 otherwise. */
+constexpr std::array<std::int8_t, 256> kHexNibble = [] {
+    std::array<std::int8_t, 256> t{};
+    for (unsigned c = 0; c < 256; ++c) {
+        if (c >= '0' && c <= '9')
+            t[c] = static_cast<std::int8_t>(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            t[c] = static_cast<std::int8_t>(c - 'a' + 10);
+        else if (c >= 'A' && c <= 'F')
+            t[c] = static_cast<std::int8_t>(c - 'A' + 10);
+        else
+            t[c] = -1;
+    }
+    return t;
+}();
+
 int
 hexVal(char c)
 {
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    if (c >= 'a' && c <= 'f')
-        return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F')
-        return c - 'A' + 10;
-    return -1;
+    return kHexNibble[static_cast<unsigned char>(c)];
+}
+
+/**
+ * Parse @p tok as a whole unsigned number in @p base (10 or 16) with
+ * the grammar std::stoull accepts: leading C-locale whitespace, an
+ * optional sign ('-' negates modulo 2^64), and for base 16 an optional
+ * 0x/0X prefix. False when any character is left over or the
+ * magnitude overflows 64 bits.
+ */
+bool
+parseUnsigned(std::string_view tok, int base, std::uint64_t &out)
+{
+    std::size_t i = 0;
+    while (i < tok.size() && (tok[i] == ' ' || (tok[i] >= '\t' &&
+                                                 tok[i] <= '\r')))
+        ++i;
+    bool negate = false;
+    if (i < tok.size() && (tok[i] == '+' || tok[i] == '-')) {
+        negate = tok[i] == '-';
+        ++i;
+    }
+    if (base == 16 && i + 2 < tok.size() && tok[i] == '0' &&
+        (tok[i + 1] == 'x' || tok[i + 1] == 'X') &&
+        hexVal(tok[i + 2]) >= 0)
+        i += 2;
+    const char *first = tok.data() + i;
+    const char *last = tok.data() + tok.size();
+    std::uint64_t v = 0;
+    auto [end, ec] = std::from_chars(first, last, v, base);
+    if (ec != std::errc() || end != last)
+        return false;
+    out = negate ? 0 - v : v;
+    return true;
 }
 
 std::uint64_t
@@ -62,7 +106,7 @@ loadLe32(const std::uint8_t *p)
 }
 
 bool
-isOpToken(const std::string &tok)
+isOpToken(std::string_view tok)
 {
     return tok.size() == 1 &&
            (tok[0] == 'W' || tok[0] == 'w' || tok[0] == 'R' ||
@@ -99,21 +143,23 @@ synthesizeLineContent(Addr addr, std::uint64_t windex)
 namespace detail
 {
 
+ByteStream::ByteStream(std::string path)
+    : path_(std::move(path)), buf_(kStreamChunk)
+{
+}
+
 std::size_t
 ByteStream::read(std::uint8_t *out, std::size_t n)
 {
     std::size_t served = 0;
-    if (!pushback_.empty()) {
-        served = std::min(n, pushback_.size());
-        std::memcpy(out, pushback_.data(), served);
-        pushback_.erase(pushback_.begin(),
-                        pushback_.begin() + static_cast<long>(served));
-    }
     while (served < n) {
-        std::size_t got = fill(out + served, n - served);
-        if (got == 0)
+        std::string_view buf = peek();
+        if (buf.empty())
             break;
-        served += got;
+        std::size_t take = std::min(n - served, buf.size());
+        std::memcpy(out + served, buf.data(), take);
+        consume(take);
+        served += take;
     }
     return served;
 }
@@ -133,7 +179,28 @@ ByteStream::readExact(std::uint8_t *out, std::size_t n, const char *what)
 void
 ByteStream::unread(const std::uint8_t *data, std::size_t n)
 {
-    pushback_.insert(pushback_.begin(), data, data + n);
+    if (n > pos_) {
+        // No room in front of the unread bytes: move them up.
+        std::size_t live = end_ - pos_;
+        std::vector<std::uint8_t> grown(std::max(buf_.size(), n + live));
+        std::memcpy(grown.data() + n, buf_.data() + pos_, live);
+        buf_.swap(grown);
+        pos_ = n;
+        end_ = n + live;
+    }
+    pos_ -= n;
+    std::memcpy(buf_.data() + pos_, data, n);
+}
+
+std::string_view
+ByteStream::peek()
+{
+    if (pos_ == end_) {
+        pos_ = 0;
+        end_ = fill(buf_.data(), buf_.size());
+    }
+    return {reinterpret_cast<const char *>(buf_.data()) + pos_,
+            end_ - pos_};
 }
 
 FileByteStream::FileByteStream(const std::string &path) : ByteStream(path)
@@ -164,6 +231,7 @@ struct GzipByteStream::ZState
     std::uint8_t in[kGzipChunk];
     bool innerEof = false;
     bool finished = false;
+    std::string pendingFatal;  ///< raised by the next fill()
 };
 
 GzipByteStream::GzipByteStream(std::unique_ptr<ByteStream> inner)
@@ -183,8 +251,19 @@ GzipByteStream::~GzipByteStream()
 }
 
 std::size_t
+GzipByteStream::deferFatal(std::size_t produced, std::string msg)
+{
+    if (produced <= 1)
+        esd_fatal("%s", msg.c_str());
+    z_->pendingFatal = std::move(msg);
+    return produced - 1;
+}
+
+std::size_t
 GzipByteStream::fill(std::uint8_t *out, std::size_t n)
 {
+    if (!z_->pendingFatal.empty())
+        esd_fatal("%s", z_->pendingFatal.c_str());
     if (z_->finished)
         return 0;
     z_stream &s = z_->strm;
@@ -200,22 +279,32 @@ GzipByteStream::fill(std::uint8_t *out, std::size_t n)
         }
         uInt before = s.avail_out;
         int rc = inflate(&s, Z_NO_FLUSH);
+        std::size_t produced = n - s.avail_out;
         if (rc == Z_STREAM_END) {
             // A concatenated member would start here; single-member
             // streams are what the capture side writes. Trailing
             // garbage after the member is a corruption signal.
             if (s.avail_in > 0 || inner_->read(z_->in, 1) > 0)
-                esd_fatal("'%s': trailing bytes after gzip stream",
-                          path_.c_str());
+                return deferFatal(
+                    produced,
+                    detail::format("'%s': trailing bytes after gzip "
+                                   "stream", path_.c_str()));
             z_->finished = true;
             break;
         }
         if (rc != Z_OK && rc != Z_BUF_ERROR)
-            esd_fatal("'%s': corrupt gzip stream (%s)", path_.c_str(),
-                      s.msg ? s.msg : zError(rc));
-        if (s.avail_out == before && z_->innerEof)
+            return deferFatal(
+                produced,
+                detail::format("'%s': corrupt gzip stream (%s)",
+                               path_.c_str(),
+                               s.msg ? s.msg : zError(rc)));
+        if (s.avail_out == before && z_->innerEof) {
+            // Hand out what was inflated; the next call finds no more.
+            if (produced > 0)
+                return produced;
             esd_fatal("'%s': gzip stream ends mid-member (truncated?)",
                       path_.c_str());
+        }
     }
     return n - s.avail_out;
 }
@@ -294,17 +383,38 @@ TraceFrontend::open()
 }
 
 bool
-TraceFrontend::readLine(std::string &line)
+TraceFrontend::readLine(std::string_view &line)
 {
-    line.clear();
-    std::uint8_t c;
+    // Fast case: the whole line sits in the stream buffer and is
+    // returned in place. A line that straddles a refill is assembled
+    // in lineSpill_. At most kMaxTraceLine + 1 bytes are scanned
+    // before an over-long line is refused.
+    lineSpill_.clear();
     while (true) {
-        if (in_->read(&c, 1) == 0)
-            return !line.empty();
-        if (c == '\n')
+        std::string_view buf = in_->peek();
+        if (buf.empty()) {
+            line = lineSpill_;
+            return !lineSpill_.empty();
+        }
+        std::size_t scan =
+            std::min(buf.size(), kMaxTraceLine + 1 - lineSpill_.size());
+        const void *nl = std::memchr(buf.data(), '\n', scan);
+        if (nl) {
+            std::size_t len =
+                static_cast<std::size_t>(static_cast<const char *>(nl) -
+                                         buf.data());
+            if (lineSpill_.empty()) {
+                line = buf.substr(0, len);
+            } else {
+                lineSpill_.append(buf.data(), len);
+                line = lineSpill_;
+            }
+            in_->consume(len + 1);
             return true;
-        line.push_back(static_cast<char>(c));
-        if (line.size() > kMaxTraceLine)
+        }
+        lineSpill_.append(buf.data(), scan);
+        in_->consume(scan);
+        if (lineSpill_.size() > kMaxTraceLine)
             esd_fatal("%s:%llu: line exceeds %zu bytes", path_.c_str(),
                       static_cast<unsigned long long>(lineNo_ + 1),
                       kMaxTraceLine);
@@ -314,11 +424,11 @@ TraceFrontend::readLine(std::string &line)
 bool
 TraceFrontend::decodeText(TraceRecord &rec)
 {
-    std::string line;
+    std::string_view line;
     while (readLine(line)) {
         ++lineNo_;
         if (!line.empty() && line.back() == '\r')
-            line.pop_back();
+            line.remove_suffix(1);
 
         // Comments and blanks: decided before tokenization so a long
         // banner comment is never mistaken for an over-long record.
@@ -330,7 +440,7 @@ TraceFrontend::decodeText(TraceRecord &rec)
             continue;
 
         // Tokenize on whitespace; at most four fields are legal.
-        std::string toks[5];
+        std::string_view toks[5];
         std::size_t ntok = 0;
         std::size_t i = first;
         while (i < line.size()) {
@@ -354,7 +464,7 @@ TraceFrontend::decodeText(TraceRecord &rec)
 
         // Two token orders: canonical `<op> <addr> ...` and
         // Ramulator-style `<addr> <op> ...`.
-        std::string opTok, addrTok;
+        std::string_view opTok, addrTok;
         if (isOpToken(toks[0])) {
             if (ntok < 2)
                 esd_fatal("%s:%llu: malformed record", path_.c_str(),
@@ -366,24 +476,19 @@ TraceFrontend::decodeText(TraceRecord &rec)
                 esd_fatal("%s:%llu: malformed record", path_.c_str(),
                           static_cast<unsigned long long>(lineNo_));
             if (!isOpToken(toks[1]))
-                esd_fatal("%s:%llu: bad op '%s'", path_.c_str(),
+                esd_fatal("%s:%llu: bad op '%.*s'", path_.c_str(),
                           static_cast<unsigned long long>(lineNo_),
-                          toks[1].c_str());
+                          static_cast<int>(toks[1].size()),
+                          toks[1].data());
             addrTok = toks[0];
             opTok = toks[1];
         }
         rec.op = (opTok[0] == 'W' || opTok[0] == 'w') ? OpType::Write
                                                       : OpType::Read;
-        try {
-            std::size_t consumed = 0;
-            rec.addr = std::stoull(addrTok, &consumed, 16);
-            if (consumed != addrTok.size())
-                throw std::invalid_argument(addrTok);
-        } catch (const std::exception &) {
-            esd_fatal("%s:%llu: bad hex address '%s'", path_.c_str(),
+        if (!parseUnsigned(addrTok, 16, rec.addr))
+            esd_fatal("%s:%llu: bad hex address '%.*s'", path_.c_str(),
                       static_cast<unsigned long long>(lineNo_),
-                      addrTok.c_str());
-        }
+                      static_cast<int>(addrTok.size()), addrTok.data());
 
         // Remaining tokens: optional 128-hex-char payload, then an
         // optional decimal icount. A long token that is not exactly a
@@ -391,7 +496,7 @@ TraceFrontend::decodeText(TraceRecord &rec)
         std::size_t r = 2;
         bool havePayload = false;
         if (r < ntok && toks[r].size() > 16) {
-            const std::string &d = toks[r];
+            std::string_view d = toks[r];
             if (d.size() != kLineSize * 2)
                 esd_fatal("%s:%llu: write payload must be %zu hex chars "
                           "(got %zu)", path_.c_str(),
@@ -411,18 +516,12 @@ TraceFrontend::decodeText(TraceRecord &rec)
         }
         rec.icount = 100;
         if (r < ntok) {
-            const std::string &ic = toks[r];
+            std::string_view ic = toks[r];
             std::uint64_t v = 0;
-            try {
-                std::size_t consumed = 0;
-                v = std::stoull(ic, &consumed, 10);
-                if (consumed != ic.size() || v > 0xffffffffull)
-                    throw std::invalid_argument(ic);
-            } catch (const std::exception &) {
-                esd_fatal("%s:%llu: bad icount '%s'", path_.c_str(),
+            if (!parseUnsigned(ic, 10, v) || v > 0xffffffffull)
+                esd_fatal("%s:%llu: bad icount '%.*s'", path_.c_str(),
                           static_cast<unsigned long long>(lineNo_),
-                          ic.c_str());
-            }
+                          static_cast<int>(ic.size()), ic.data());
             rec.icount = static_cast<std::uint32_t>(v);
             ++r;
         }

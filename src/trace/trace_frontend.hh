@@ -18,8 +18,9 @@
  *     (icount defaults to 100 when absent). The data token is optional
  *     for writes in both orders: address-only traces are valid.
  *   - **gzip** — a zlib/gzip stream (magic 0x1f 0x8b) inflated on the
- *     fly through a fixed 64 KB window; the inflated content is
- *     sniffed again, so both gzip'd text and gzip'd binary work.
+ *     fly through a fixed 64 KB window, a chunk at a time; the
+ *     inflated content is sniffed again, so both gzip'd text and
+ *     gzip'd binary work.
  *   - **binary** — `ESDT` magic. Version 2 carries a versioned header
  *     (version byte, flags byte with the line-payload bit, reserved
  *     u16) and length-prefixed records
@@ -46,6 +47,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/config.hh"
@@ -79,7 +81,9 @@ CacheLine synthesizeLineContent(Addr addr, std::uint64_t windex);
 namespace detail
 {
 
-/** Bounded pull-based byte source with a small pushback buffer (the
+/** Pull-based byte source read through a 64 KiB buffer, so the
+ * underlying medium (a file, an inflater) is asked for whole chunks.
+ * unread() pushes bytes back into the front of the same buffer (the
  * format sniffer peeks, then ungets). */
 class ByteStream
 {
@@ -98,10 +102,18 @@ class ByteStream
     /** Push @p n bytes back; the next read returns them first. */
     void unread(const std::uint8_t *data, std::size_t n);
 
+    /** The buffered bytes not yet consumed, refilling the buffer first
+     * when it is empty; an empty view means EOF. Valid until the next
+     * call on this stream. */
+    std::string_view peek();
+
+    /** Mark the first @p n bytes of peek() as read. */
+    void consume(std::size_t n) { pos_ += n; }
+
     const std::string &path() const { return path_; }
 
   protected:
-    explicit ByteStream(std::string path) : path_(std::move(path)) {}
+    explicit ByteStream(std::string path);
 
     /** Produce up to @p n fresh bytes from the underlying medium. */
     virtual std::size_t fill(std::uint8_t *out, std::size_t n) = 0;
@@ -109,7 +121,10 @@ class ByteStream
     std::string path_;
 
   private:
-    std::vector<std::uint8_t> pushback_;
+    /** Unconsumed bytes are buf_[pos_, end_). */
+    std::vector<std::uint8_t> buf_;
+    std::size_t pos_ = 0;
+    std::size_t end_ = 0;
 };
 
 /** Plain file bytes. */
@@ -135,9 +150,17 @@ class GzipByteStream : public ByteStream
     ~GzipByteStream() override;
 
   protected:
+    /** Inflates a whole chunk per call. A zlib error found after the
+     * chunk's first byte is raised one call later, and the last byte
+     * inflated before it is withheld, so it surfaces at the same point
+     * in the stream as it would through one-byte reads. */
     std::size_t fill(std::uint8_t *out, std::size_t n) override;
 
   private:
+    /** Return @p produced - 1 bytes and raise @p msg on the next
+     * fill(), or raise it now when there is nothing to return. */
+    std::size_t deferFatal(std::size_t produced, std::string msg);
+
     struct ZState;
     std::unique_ptr<ByteStream> inner_;
     std::unique_ptr<ZState> z_;
@@ -184,7 +207,7 @@ class TraceFrontend : public TraceSource
     bool decodeOne(TraceRecord &rec);
     bool decodeText(TraceRecord &rec);
     bool decodeBinary(TraceRecord &rec);
-    bool readLine(std::string &line);
+    bool readLine(std::string_view &line);
 
     std::string path_;
     TraceConfig cfg_;
@@ -203,6 +226,8 @@ class TraceFrontend : public TraceSource
     std::size_t bufPos_ = 0;
     std::size_t peakBuffered_ = 0;
 
+    /** A text line that straddles a buffer refill, assembled here. */
+    std::string lineSpill_;
     std::uint64_t lineNo_ = 0;    ///< text diagnostics
     std::uint64_t decoded_ = 0;
     std::uint64_t writesSeen_ = 0;  ///< synthesized-content key

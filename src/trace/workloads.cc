@@ -218,6 +218,15 @@ SyntheticWorkload::pickContentId()
 
     // Unique write: preferentially seed an untouched hot-pool id (so
     // Zipf-hot ranks enter circulation early), else mint a fresh id.
+    // Once every hot-pool id is touched the 16 draws cannot succeed;
+    // they are still consumed (one Pcg32 step each, as sample() takes)
+    // so the rest of the stream is unchanged.
+    const std::size_t hotTouched = touched_.size() - (isTouched_[0] ? 1 : 0);
+    if (hotTouched == profile_.hotPoolLines) {
+        for (int attempt = 0; attempt < 16; ++attempt)
+            rng_.next();
+        return nextFreshId_++;
+    }
     for (int attempt = 0; attempt < 16; ++attempt) {
         std::uint64_t id = zipf_.sample(rng_) + 1;
         if (!isTouched_[id]) {

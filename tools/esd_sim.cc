@@ -361,6 +361,12 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("-metrics-every=", 0) == 0) {
             opt.metricsEvery =
                 parseU64("-metrics-every", value("-metrics-every="));
+            // Same bound as telemetry.metrics_every_writes.
+            if (opt.metricsEvery > (1ull << 40))
+                esd_fatal("-metrics-every: %llu out of range [0, %llu]",
+                          static_cast<unsigned long long>(
+                              opt.metricsEvery),
+                          1ull << 40);
         } else if (arg == "-hist-buckets") {
             opt.histBuckets = true;
         } else if (arg.rfind("-ras-read-ber=", 0) == 0) {
