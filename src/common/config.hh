@@ -407,8 +407,9 @@ struct TraceConfig
      * whose content is re-synthesized deterministically on replay. */
     bool linePayload = true;
 
-    /** Decoded-record read-ahead bound: the streaming frontend never
-     * buffers more than this many records ([1, 1M]). */
+    /** Decode block size in records ([1, 1M]): the streaming
+     * frontend holds at most two blocks, the one being drained and
+     * one decoded ahead. */
     std::uint64_t readAhead = 4096;
 };
 

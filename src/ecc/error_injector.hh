@@ -11,6 +11,7 @@
 #ifndef ESD_ECC_ERROR_INJECTOR_HH
 #define ESD_ECC_ERROR_INJECTOR_HH
 
+#include <bitset>
 #include <cstdint>
 
 #include "common/random.hh"
@@ -59,12 +60,12 @@ class ErrorInjector
     flipBitsInWord(CacheLine &line, LineEcc &ecc, std::size_t word,
                    unsigned n)
     {
-        std::uint64_t chosen = 0;
+        std::bitset<72> chosen;
         while (n > 0) {
             unsigned b = rng_.below(72);
-            if (chosen & (1ull << b))
+            if (chosen[b])
                 continue;
-            chosen |= 1ull << b;
+            chosen[b] = true;
             if (b < 64) {
                 line.setWord(word, line.word(word) ^ (1ull << b));
             } else {

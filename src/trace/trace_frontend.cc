@@ -3,17 +3,61 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <chrono>
 #include <cstring>
 
 #include <zlib.h>
 
 #include "common/logging.hh"
 
+/** esd_fatal, except inside decodeBlock(), where the error is captured
+ * with its position and raised later by the consumer. */
+#define trace_fatal(...) \
+    ::esd::traceFatal(__FILE__, __LINE__, ::esd::detail::format(__VA_ARGS__))
+
 namespace esd
 {
 
 namespace
 {
+
+/** A fatal decode error in flight from trace_fatal to decodeBlock(). */
+struct DecodeError
+{
+    const char *file;
+    int line;
+    std::string msg;
+};
+
+/** Set on the thread running decodeBlock(). */
+thread_local bool capturingErrors = false;
+
+[[noreturn]] void
+traceFatal(const char *file, int line, std::string msg)
+{
+    if (capturingErrors)
+        throw DecodeError{file, line, std::move(msg)};
+    detail::fatalImpl(file, line, msg);
+}
+
+/**
+ * Wait until @p ready() holds: yield for a while, then poll every
+ * 50 us. A sleeping thread is never woken by the other side, so the
+ * scheduler keeps the decoder and the consumer on separate CPUs.
+ */
+template <typename Ready>
+void
+waitUntil(Ready ready)
+{
+    for (int spins = 0; !ready();) {
+        if (spins < 64) {
+            ++spins;
+            std::this_thread::yield();
+        } else {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+    }
+}
 
 constexpr char kMagic[4] = {'E', 'S', 'D', 'T'};
 
@@ -171,8 +215,8 @@ ByteStream::readExact(std::uint8_t *out, std::size_t n, const char *what)
     if (got == 0)
         return false;
     if (got < n)
-        esd_fatal("'%s': truncated %s (wanted %zu bytes, got %zu)",
-                  path_.c_str(), what, n, got);
+        trace_fatal("'%s': truncated %s (wanted %zu bytes, got %zu)",
+                    path_.c_str(), what, n, got);
     return true;
 }
 
@@ -221,7 +265,7 @@ FileByteStream::fill(std::uint8_t *out, std::size_t n)
 {
     std::size_t got = std::fread(out, 1, n, f_);
     if (got < n && std::ferror(f_))
-        esd_fatal("read error on trace file '%s'", path_.c_str());
+        trace_fatal("read error on trace file '%s'", path_.c_str());
     return got;
 }
 
@@ -254,7 +298,7 @@ std::size_t
 GzipByteStream::deferFatal(std::size_t produced, std::string msg)
 {
     if (produced <= 1)
-        esd_fatal("%s", msg.c_str());
+        trace_fatal("%s", msg.c_str());
     z_->pendingFatal = std::move(msg);
     return produced - 1;
 }
@@ -263,7 +307,7 @@ std::size_t
 GzipByteStream::fill(std::uint8_t *out, std::size_t n)
 {
     if (!z_->pendingFatal.empty())
-        esd_fatal("%s", z_->pendingFatal.c_str());
+        trace_fatal("%s", z_->pendingFatal.c_str());
     if (z_->finished)
         return 0;
     z_stream &s = z_->strm;
@@ -302,8 +346,8 @@ GzipByteStream::fill(std::uint8_t *out, std::size_t n)
             // Hand out what was inflated; the next call finds no more.
             if (produced > 0)
                 return produced;
-            esd_fatal("'%s': gzip stream ends mid-member (truncated?)",
-                      path_.c_str());
+            trace_fatal("'%s': gzip stream ends mid-member (truncated?)",
+                        path_.c_str());
         }
     }
     return n - s.avail_out;
@@ -320,10 +364,32 @@ TraceFrontend::TraceFrontend(const std::string &path,
     open();
 }
 
-TraceFrontend::~TraceFrontend() = default;
+TraceFrontend::~TraceFrontend()
+{
+    stopDecoder();
+}
 
 void
 TraceFrontend::open()
+{
+    lineSpill_.clear();
+    lineNo_ = 0;
+    writesSeen_ = 0;
+    binary_ = false;
+    binVersion_ = 0;
+    binPayloads_ = true;
+    pos_ = end_ = nullptr;
+    blocksTaken_ = 0;
+    done_ = false;
+    full_[0] = full_[1] = false;
+    stop_ = false;
+    readHeader();
+    if (decodesAhead())
+        decoder_ = std::thread(&TraceFrontend::decoderLoop, this);
+}
+
+void
+TraceFrontend::readHeader()
 {
     in_ = std::make_unique<detail::FileByteStream>(path_);
     format_ = TraceFormat::Text;
@@ -344,8 +410,6 @@ TraceFrontend::open()
     binary_ = got == 4 && std::memcmp(magic, kMagic, 4) == 0;
     if (!binary_) {
         in_->unread(magic, got);
-        if (format_ == TraceFormat::Text)
-            format_ = TraceFormat::Text;
         return;
     }
     if (format_ != TraceFormat::Gzip)
@@ -415,9 +479,9 @@ TraceFrontend::readLine(std::string_view &line)
         lineSpill_.append(buf.data(), scan);
         in_->consume(scan);
         if (lineSpill_.size() > kMaxTraceLine)
-            esd_fatal("%s:%llu: line exceeds %zu bytes", path_.c_str(),
-                      static_cast<unsigned long long>(lineNo_ + 1),
-                      kMaxTraceLine);
+            trace_fatal("%s:%llu: line exceeds %zu bytes", path_.c_str(),
+                        static_cast<unsigned long long>(lineNo_ + 1),
+                        kMaxTraceLine);
     }
 }
 
@@ -453,42 +517,42 @@ TraceFrontend::decodeText(TraceRecord &rec)
             while (i < line.size() && line[i] != ' ' && line[i] != '\t')
                 ++i;
             if (ntok == 5)
-                esd_fatal("%s:%llu: trailing junk on record",
-                          path_.c_str(),
-                          static_cast<unsigned long long>(lineNo_));
+                trace_fatal("%s:%llu: trailing junk on record",
+                            path_.c_str(),
+                            static_cast<unsigned long long>(lineNo_));
             toks[ntok++] = line.substr(start, i - start);
         }
         if (ntok > 4)
-            esd_fatal("%s:%llu: trailing junk on record", path_.c_str(),
-                      static_cast<unsigned long long>(lineNo_));
+            trace_fatal("%s:%llu: trailing junk on record", path_.c_str(),
+                        static_cast<unsigned long long>(lineNo_));
 
         // Two token orders: canonical `<op> <addr> ...` and
         // Ramulator-style `<addr> <op> ...`.
         std::string_view opTok, addrTok;
         if (isOpToken(toks[0])) {
             if (ntok < 2)
-                esd_fatal("%s:%llu: malformed record", path_.c_str(),
-                          static_cast<unsigned long long>(lineNo_));
+                trace_fatal("%s:%llu: malformed record", path_.c_str(),
+                            static_cast<unsigned long long>(lineNo_));
             opTok = toks[0];
             addrTok = toks[1];
         } else {
             if (ntok < 2)
-                esd_fatal("%s:%llu: malformed record", path_.c_str(),
-                          static_cast<unsigned long long>(lineNo_));
+                trace_fatal("%s:%llu: malformed record", path_.c_str(),
+                            static_cast<unsigned long long>(lineNo_));
             if (!isOpToken(toks[1]))
-                esd_fatal("%s:%llu: bad op '%.*s'", path_.c_str(),
-                          static_cast<unsigned long long>(lineNo_),
-                          static_cast<int>(toks[1].size()),
-                          toks[1].data());
+                trace_fatal("%s:%llu: bad op '%.*s'", path_.c_str(),
+                            static_cast<unsigned long long>(lineNo_),
+                            static_cast<int>(toks[1].size()),
+                            toks[1].data());
             addrTok = toks[0];
             opTok = toks[1];
         }
         rec.op = (opTok[0] == 'W' || opTok[0] == 'w') ? OpType::Write
                                                       : OpType::Read;
         if (!parseUnsigned(addrTok, 16, rec.addr))
-            esd_fatal("%s:%llu: bad hex address '%.*s'", path_.c_str(),
-                      static_cast<unsigned long long>(lineNo_),
-                      static_cast<int>(addrTok.size()), addrTok.data());
+            trace_fatal("%s:%llu: bad hex address '%.*s'", path_.c_str(),
+                        static_cast<unsigned long long>(lineNo_),
+                        static_cast<int>(addrTok.size()), addrTok.data());
 
         // Remaining tokens: optional 128-hex-char payload, then an
         // optional decimal icount. A long token that is not exactly a
@@ -498,16 +562,16 @@ TraceFrontend::decodeText(TraceRecord &rec)
         if (r < ntok && toks[r].size() > 16) {
             std::string_view d = toks[r];
             if (d.size() != kLineSize * 2)
-                esd_fatal("%s:%llu: write payload must be %zu hex chars "
-                          "(got %zu)", path_.c_str(),
-                          static_cast<unsigned long long>(lineNo_),
-                          kLineSize * 2, d.size());
+                trace_fatal("%s:%llu: write payload must be %zu hex chars "
+                            "(got %zu)", path_.c_str(),
+                            static_cast<unsigned long long>(lineNo_),
+                            kLineSize * 2, d.size());
             for (std::size_t b = 0; b < kLineSize; ++b) {
                 int hi = hexVal(d[b * 2]);
                 int lo = hexVal(d[b * 2 + 1]);
                 if (hi < 0 || lo < 0)
-                    esd_fatal("%s:%llu: bad hex data", path_.c_str(),
-                              static_cast<unsigned long long>(lineNo_));
+                    trace_fatal("%s:%llu: bad hex data", path_.c_str(),
+                                static_cast<unsigned long long>(lineNo_));
                 rec.data[b] =
                     static_cast<std::uint8_t>((hi << 4) | lo);
             }
@@ -519,15 +583,15 @@ TraceFrontend::decodeText(TraceRecord &rec)
             std::string_view ic = toks[r];
             std::uint64_t v = 0;
             if (!parseUnsigned(ic, 10, v) || v > 0xffffffffull)
-                esd_fatal("%s:%llu: bad icount '%.*s'", path_.c_str(),
-                          static_cast<unsigned long long>(lineNo_),
-                          static_cast<int>(ic.size()), ic.data());
+                trace_fatal("%s:%llu: bad icount '%.*s'", path_.c_str(),
+                            static_cast<unsigned long long>(lineNo_),
+                            static_cast<int>(ic.size()), ic.data());
             rec.icount = static_cast<std::uint32_t>(v);
             ++r;
         }
         if (r < ntok)
-            esd_fatal("%s:%llu: trailing junk on record", path_.c_str(),
-                      static_cast<unsigned long long>(lineNo_));
+            trace_fatal("%s:%llu: trailing junk on record", path_.c_str(),
+                        static_cast<unsigned long long>(lineNo_));
 
         if (rec.op == OpType::Write) {
             if (!havePayload)
@@ -550,19 +614,19 @@ TraceFrontend::decodeBinary(TraceRecord &rec)
         if (!in_->readExact(&op, 1, "record"))
             return false;
         if (op > 1)
-            esd_fatal("'%s': bad op byte %u (corrupt trace?)",
-                      path_.c_str(), static_cast<unsigned>(op));
+            trace_fatal("'%s': bad op byte %u (corrupt trace?)",
+                        path_.c_str(), static_cast<unsigned>(op));
         std::uint8_t fixed[12];
         if (!in_->readExact(fixed, 12, "record"))
-            esd_fatal("'%s': truncated record", path_.c_str());
+            trace_fatal("'%s': truncated record", path_.c_str());
         rec.op = op ? OpType::Write : OpType::Read;
         rec.addr = loadLe64(fixed);
         rec.icount = loadLe32(fixed + 8);
         if (rec.op == OpType::Write) {
             if (!in_->readExact(rec.data.data(), kLineSize,
                                 "write payload"))
-                esd_fatal("'%s': truncated write payload",
-                          path_.c_str());
+                trace_fatal("'%s': truncated write payload",
+                            path_.c_str());
             ++writesSeen_;
         } else {
             rec.data = CacheLine{};
@@ -575,15 +639,15 @@ TraceFrontend::decodeBinary(TraceRecord &rec)
     if (!in_->readExact(&len, 1, "record"))
         return false;
     if (len != kBinaryRecordNoPayload && len != kBinaryRecordPayload)
-        esd_fatal("'%s': bad record length %u (expected %zu or %zu)",
-                  path_.c_str(), static_cast<unsigned>(len),
-                  kBinaryRecordNoPayload, kBinaryRecordPayload);
+        trace_fatal("'%s': bad record length %u (expected %zu or %zu)",
+                    path_.c_str(), static_cast<unsigned>(len),
+                    kBinaryRecordNoPayload, kBinaryRecordPayload);
     std::uint8_t body[kBinaryRecordPayload];
     if (!in_->readExact(body, len, "record"))
-        esd_fatal("'%s': truncated record", path_.c_str());
+        trace_fatal("'%s': truncated record", path_.c_str());
     if (body[0] > 1)
-        esd_fatal("'%s': bad op byte %u (corrupt trace?)", path_.c_str(),
-                  static_cast<unsigned>(body[0]));
+        trace_fatal("'%s': bad op byte %u (corrupt trace?)", path_.c_str(),
+                    static_cast<unsigned>(body[0]));
     rec.op = body[0] ? OpType::Write : OpType::Read;
     rec.addr = loadLe64(body + 1);
     rec.icount = loadLe32(body + 9);
@@ -607,59 +671,111 @@ TraceFrontend::decodeOne(TraceRecord &rec)
 }
 
 void
-TraceFrontend::refill()
+TraceFrontend::decodeBlock(Block &b)
 {
-    buffer_.clear();
-    bufPos_ = 0;
-    if (eof_)
+    b.records.clear();
+    b.errFile = nullptr;
+    capturingErrors = true;
+    try {
+        TraceRecord rec;
+        while (b.records.size() < cfg_.readAhead &&
+               !stop_.load(std::memory_order_relaxed) && decodeOne(rec))
+            b.records.push_back(rec);
+    } catch (DecodeError &e) {
+        b.errFile = e.file;
+        b.errLine = e.line;
+        b.errMsg = std::move(e.msg);
+    }
+    capturingErrors = false;
+    b.last = b.errFile || b.records.size() < cfg_.readAhead;
+}
+
+void
+TraceFrontend::decoderLoop()
+{
+    for (std::uint64_t k = 0;; ++k) {
+        std::atomic<bool> &full = full_[k % 2];
+        waitUntil([&] {
+            return !full.load(std::memory_order_acquire) ||
+                   stop_.load(std::memory_order_relaxed);
+        });
+        if (stop_.load(std::memory_order_relaxed))
+            return;
+        Block &b = slots_[k % 2];
+        decodeBlock(b);
+        full.store(true, std::memory_order_release);
+        if (b.last)
+            return;
+    }
+}
+
+void
+TraceFrontend::stopDecoder()
+{
+    if (!decoder_.joinable())
         return;
-    TraceRecord rec;
-    while (buffer_.size() < cfg_.readAhead && decodeOne(rec))
-        buffer_.push_back(rec);
-    if (buffer_.size() < cfg_.readAhead)
-        eof_ = true;
-    decoded_ += buffer_.size();
-    peakBuffered_ = std::max(peakBuffered_, buffer_.size());
+    stop_.store(true, std::memory_order_relaxed);
+    decoder_.join();
+}
+
+/** Make the next block current (false at the end of the trace), or
+ * raise the error that ended decoding. */
+bool
+TraceFrontend::advance()
+{
+    pos_ = end_ = nullptr;
+    if (done_)
+        return false;
+    std::size_t i = blocksTaken_ % 2;
+    if (!decodesAhead()) {
+        i = 0;  // decoded here, on demand: one slot is enough
+        decodeBlock(slots_[i]);
+    } else {
+        // Hand the drained slot back, then take the next one.
+        if (blocksTaken_ > 0)
+            full_[1 - i].store(false, std::memory_order_release);
+        waitUntil(
+            [&] { return full_[i].load(std::memory_order_acquire); });
+    }
+    const Block &b = slots_[i];
+    ++blocksTaken_;
+    if (b.last) {
+        done_ = true;
+        stopDecoder();
+        if (b.errFile)
+            detail::fatalImpl(b.errFile, b.errLine, b.errMsg);
+    }
+    decoded_ += b.records.size();
+    peakBuffered_ = std::max(peakBuffered_, b.records.size());
+    pos_ = b.records.data();
+    end_ = pos_ + b.records.size();
+    return pos_ != end_;
 }
 
 bool
 TraceFrontend::next(TraceRecord &rec)
 {
-    if (bufPos_ >= buffer_.size()) {
-        refill();
-        if (buffer_.empty())
-            return false;
-    }
-    rec = buffer_[bufPos_++];
+    if (pos_ == end_ && !advance())
+        return false;
+    rec = *pos_++;
     return true;
 }
 
 std::size_t
 TraceFrontend::nextBatch(TraceRecord *out, std::size_t max)
 {
-    if (bufPos_ >= buffer_.size()) {
-        refill();
-        if (buffer_.empty())
-            return 0;
-    }
-    std::size_t n = std::min(max, buffer_.size() - bufPos_);
-    std::copy(buffer_.begin() + static_cast<long>(bufPos_),
-              buffer_.begin() + static_cast<long>(bufPos_ + n), out);
-    bufPos_ += n;
+    if (pos_ == end_ && !advance())
+        return 0;
+    std::size_t n = std::min(max, static_cast<std::size_t>(end_ - pos_));
+    std::copy_n(pos_, n, out);
+    pos_ += n;
     return n;
 }
 
 void
 TraceFrontend::reset()
 {
-    buffer_.clear();
-    bufPos_ = 0;
-    lineNo_ = 0;
-    writesSeen_ = 0;
-    eof_ = false;
-    binary_ = false;
-    binVersion_ = 0;
-    binPayloads_ = true;
+    stopDecoder();
     open();
 }
 

@@ -4,9 +4,13 @@
  *
  * TraceFrontend turns an on-disk memory trace into a TraceSource
  * without ever materializing the trace in RAM: bytes are pulled
- * through a bounded chunk buffer, decoded record by record, and at
- * most `[trace] read_ahead` decoded records are buffered at any time,
- * so memory stays constant at any trace length.
+ * through a bounded chunk buffer and decoded in blocks of
+ * `[trace] read_ahead` records. Gzip traces with blocks of at least
+ * kMinDecodeAheadBlock records are decoded on a background thread, one
+ * block ahead of the consumer, so at most two blocks (2 x read_ahead
+ * records) are held at any time and memory stays constant at any trace
+ * length. Everything else decodes on the consumer's thread, one block
+ * at a time.
  *
  * Three on-disk formats are accepted, auto-detected from the first
  * bytes of the file (never from the extension):
@@ -38,16 +42,21 @@
  * text, the line) named: truncation, bad magic, version skew,
  * oversized length prefixes, non-hex payloads, over-long lines, and
  * mid-stream gzip corruption are all clean exits, never crashes
- * (tests/test_trace_fuzz.cc holds that wall up).
+ * (tests/test_trace_fuzz.cc holds that wall up). A record error is
+ * raised on the consumer's thread when it asks for the block holding
+ * the bad record, so the same records reach the consumer before the
+ * same message as if every block were decoded on demand.
  */
 
 #ifndef ESD_TRACE_TRACE_FRONTEND_HH
 #define ESD_TRACE_TRACE_FRONTEND_HH
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/config.hh"
@@ -59,6 +68,12 @@ namespace esd
 /** Longest accepted text-trace line (op + addr + payload + icount
  * with slack); longer lines are a format error, not a buffer grower. */
 constexpr std::size_t kMaxTraceLine = 512;
+
+/** Smallest read_ahead at which a gzip trace is decoded ahead on a
+ * thread. Smaller blocks take less time to inflate than a few of the
+ * threads' 50 us back-off steps, so the handoff would cost more than
+ * the overlap saves; they decode on the consumer's thread. */
+constexpr std::uint64_t kMinDecodeAheadBlock = 512;
 
 /** Binary format limits (v2). */
 constexpr std::uint8_t kBinaryTraceVersion = 2;
@@ -171,21 +186,34 @@ class GzipByteStream : public ByteStream
 /**
  * The streaming trace frontend (`esd_sim -trace-in=`).
  *
- * Decodes records lazily through a bounded read-ahead buffer;
- * TraceSource::nextBatch is overridden to hand the pipeline demux a
- * whole buffered batch per virtual call.
+ * Records are decoded in blocks of read_ahead. For gzip with blocks of
+ * at least kMinDecodeAheadBlock a decoder thread fills one block while
+ * the consumer drains the other; it sleeps in short steps while no
+ * slot is free (never woken per block) and is joined once it hands
+ * over the last block or an error, or by reset() and the destructor.
+ * Plain text, binary and small gzip blocks are decoded by the same
+ * block decoder on the consumer's thread, when the consumer asks for
+ * the next block: without inflate, decoding is too cheap for the
+ * overlap to pay for handing records across cores, and small blocks
+ * would be handed over too often. TraceSource::nextBatch is
+ * overridden to hand the pipeline demux a whole buffered batch per
+ * virtual call. One consumer thread at a time.
  */
 class TraceFrontend : public TraceSource
 {
   public:
     /**
      * Open @p path, sniff its format, and validate the header.
-     * @param cfg read_ahead bounds the decoded-record buffer;
-     *            line_payload is ignored on input (the stream itself
-     *            says whether payloads are present).
+     * @param cfg read_ahead is the decode block size; line_payload is
+     *            ignored on input (the stream itself says whether
+     *            payloads are present).
      */
     TraceFrontend(const std::string &path, const TraceConfig &cfg);
     ~TraceFrontend() override;
+
+    /** The decoder thread holds this object's address. */
+    TraceFrontend(const TraceFrontend &) = delete;
+    TraceFrontend &operator=(const TraceFrontend &) = delete;
 
     bool next(TraceRecord &rec) override;
     std::size_t nextBatch(TraceRecord *out, std::size_t max) override;
@@ -194,16 +222,40 @@ class TraceFrontend : public TraceSource
     /** The sniffed on-disk format. */
     TraceFormat format() const { return format_; }
 
-    /** Records decoded so far (monotonic; survives reset()). */
+    /** Records handed to the consumer in blocks so far (monotonic;
+     * survives reset()). */
     std::uint64_t recordsDecoded() const { return decoded_; }
 
-    /** High-water mark of the decoded-record buffer — the constant-
-     * memory claim, observable: never exceeds [trace] read_ahead. */
+    /** Largest block handed out: never exceeds [trace] read_ahead.
+     * The decoder holds at most one more block of the same bound. */
     std::size_t peakBufferedRecords() const { return peakBuffered_; }
 
   private:
+    /** One decoded block. A block shorter than read_ahead, or one that
+     * carries an error, is the last. */
+    struct Block
+    {
+        std::vector<TraceRecord> records;
+        bool last = false;
+        /** Set when decoding hit a fatal error: raised, not delivered. */
+        const char *errFile = nullptr;
+        int errLine = 0;
+        std::string errMsg;
+    };
+
+    /** True when blocks are decoded ahead on the decoder thread. */
+    bool decodesAhead() const
+    {
+        return format_ == TraceFormat::Gzip &&
+               cfg_.readAhead >= kMinDecodeAheadBlock;
+    }
+
     void open();
-    void refill();
+    void readHeader();
+    void decodeBlock(Block &b);
+    void decoderLoop();
+    void stopDecoder();
+    bool advance();
     bool decodeOne(TraceRecord &rec);
     bool decodeText(TraceRecord &rec);
     bool decodeBinary(TraceRecord &rec);
@@ -212,26 +264,36 @@ class TraceFrontend : public TraceSource
     std::string path_;
     TraceConfig cfg_;
     TraceFormat format_ = TraceFormat::Text;
-    std::unique_ptr<detail::ByteStream> in_;
 
+    // Decoder state: owned by the decoder thread while it runs.
+    std::unique_ptr<detail::ByteStream> in_;
     /** True when the (possibly inflated) record stream is binary. */
     bool binary_ = false;
-
     /** Binary sub-state: v2 header fields (v1 has none). */
     std::uint8_t binVersion_ = 0;
     bool binPayloads_ = true;
-
-    /** Bounded decoded-record buffer (FIFO). */
-    std::vector<TraceRecord> buffer_;
-    std::size_t bufPos_ = 0;
-    std::size_t peakBuffered_ = 0;
-
     /** A text line that straddles a buffer refill, assembled here. */
     std::string lineSpill_;
     std::uint64_t lineNo_ = 0;    ///< text diagnostics
-    std::uint64_t decoded_ = 0;
     std::uint64_t writesSeen_ = 0;  ///< synthesized-content key
-    bool eof_ = false;
+
+    /** Block slots: block k lives in slots_[k % 2] (decoded on
+     * demand: always slots_[0]). full_[i] hands slot i to the consumer; clearing it
+     * hands it back to the decoder thread. */
+    Block slots_[2];
+    std::atomic<bool> full_[2] = {false, false};
+    /** Set by reset() and the destructor: the decoder abandons the
+     * trace, even mid-block; nothing it still decodes is delivered. */
+    std::atomic<bool> stop_{false};
+    std::thread decoder_;
+
+    // Consumer state: [pos_, end_) is what is left of the current block.
+    const TraceRecord *pos_ = nullptr;
+    const TraceRecord *end_ = nullptr;
+    std::uint64_t blocksTaken_ = 0;
+    bool done_ = false;  ///< the last block has been taken
+    std::size_t peakBuffered_ = 0;
+    std::uint64_t decoded_ = 0;
 };
 
 } // namespace esd

@@ -99,7 +99,7 @@ TEST(LogHistogram, PercentilesLandInOracleBucketForLargeValues)
     std::vector<std::uint64_t> raw;
     for (int i = 0; i < 4000; ++i) {
         // Spread across many octaves, up to ~2^44.
-        std::uint64_t v = rng.next64() >> (rng.next() % 45 + 20);
+        std::uint64_t v = rng.next64() >> (rng.next() % 44 + 20);
         h.record(v);
         raw.push_back(v);
     }

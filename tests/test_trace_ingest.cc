@@ -15,6 +15,12 @@
  *   - on a fixed corrupt-trace corpus every diagnostic, line number
  *     and decoded record stream is the one that one-byte reads gave
  *     (a digest recorded before the buffer existed).
+ *
+ * The TraceFrontendAsync tests pin what must not change with the
+ * background decoder (gzip at read_ahead >= kMinDecodeAheadBlock):
+ * the same corpus at larger blocks, errors in a later block,
+ * destruction and reset() mid-trace, next()/nextBatch() mixes across
+ * blocks, and a trace that ends exactly on a block boundary.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +35,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <zlib.h>
@@ -44,6 +51,15 @@ namespace
 {
 
 constexpr std::size_t kChunk = 64 * 1024;
+
+/** Write @p bytes to @p path; returns the path. */
+std::string
+writeFile(const std::filesystem::path &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return path.string();
+}
 
 class TraceFrontendIngestTest : public ::testing::Test
 {
@@ -61,11 +77,7 @@ class TraceFrontendIngestTest : public ::testing::Test
     std::string
     writeBytes(const char *name, const std::string &bytes) const
     {
-        std::string path = (dir_ / name).string();
-        std::ofstream out(path, std::ios::binary);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        return path;
+        return writeFile(dir_ / name, bytes);
     }
 
     std::filesystem::path dir_;
@@ -320,12 +332,13 @@ fnv1a(std::uint64_t h, const void *p, std::size_t n)
 }
 
 /**
- * Drain @p path in a forked child and describe the outcome: the
- * first `fatal:` line (with the path replaced by `<trace>`) or `ok`,
- * followed by the record count and a digest of the records decoded.
+ * Drain @p path in a forked child, @p readAhead records per block,
+ * and describe the outcome: the first `fatal:` line (with the path
+ * replaced by `<trace>`) or `ok`, followed by the record count and a
+ * digest of the records delivered.
  */
 std::string
-outcome(const std::string &path)
+outcome(const std::string &path, std::uint64_t readAhead)
 {
     int fds[2];
     if (::pipe(fds) != 0)
@@ -337,7 +350,7 @@ outcome(const std::string &path)
         ::close(fds[0]);
         ::dup2(fds[1], 2);
         TraceConfig tc;
-        tc.readAhead = 1;  // every record is reported before a fatal
+        tc.readAhead = readAhead;
         TraceFrontend f(path, tc);
         TraceRecord rec;
         std::uint64_t n = 0, h = 0xcbf29ce484222325ull;
@@ -402,8 +415,15 @@ capture(const std::filesystem::path &dir, TraceFormat format,
     return slurp(path);
 }
 
-TEST_F(TraceFrontendIngestTest, CorruptCorpusDiagnosticsUnchanged)
+/**
+ * Drain a fixed corpus of 240 corrupt traces, @p readAhead records per
+ * block, and digest every outcome() into @p digest; @p log lists them.
+ */
+void
+corpusDigest(const std::filesystem::path &dir, std::uint64_t readAhead,
+             std::uint64_t &digest, std::string &log)
 {
+    digest = 0;
     // Bases: the committed fixtures (so the gzip bytes do not depend on
     // the local deflate), plus uncompressed captures large enough to
     // cross a 64 KiB boundary.
@@ -412,14 +432,13 @@ TEST_F(TraceFrontendIngestTest, CorruptCorpusDiagnosticsUnchanged)
     std::vector<std::string> bases = {
         slurp(fixtures + "tiny.trace"), slurp(fixtures + "tiny.gz"),
         slurp(fixtures + "tiny.bin"), slurp(fixtures + "legacy_v1.bin"),
-        capture(dir_, TraceFormat::Text, 600),
-        capture(dir_, TraceFormat::Binary, 1200)};
+        capture(dir, TraceFormat::Text, 600),
+        capture(dir, TraceFormat::Binary, 1200)};
     for (const std::string &b : bases)
         ASSERT_FALSE(b.empty());
 
     Pcg32 rng(0xd1a6, 0x11);
-    std::uint64_t digest = 0xcbf29ce484222325ull;
-    std::string log;
+    digest = 0xcbf29ce484222325ull;
     for (int i = 0; i < 240; ++i) {
         std::string bytes = bases[i % bases.size()];
         switch (rng.below(5)) {
@@ -455,12 +474,212 @@ TEST_F(TraceFrontendIngestTest, CorruptCorpusDiagnosticsUnchanged)
             break;
           }
         }
-        std::string o = outcome(writeBytes("mutant", bytes));
+        std::string o = outcome(writeFile(dir / "mutant", bytes), readAhead);
         log += std::to_string(i) + ": " + o + "\n";
         digest = fnv1a(digest, o.data(), o.size());
     }
-    // Recorded with one-byte reads (before the 64 KiB ingest buffer).
+}
+
+TEST_F(TraceFrontendIngestTest, CorruptCorpusDiagnosticsUnchanged)
+{
+    std::uint64_t digest;
+    std::string log;
+    corpusDigest(dir_, 1, digest, log);
+    // Every record is reported before a fatal. Recorded with one-byte
+    // reads (before the 64 KiB ingest buffer).
     EXPECT_EQ(digest, 0xeba4afd61f958fc3ull) << log;
+}
+
+// ------------------------------------------ background decoder
+// Gzip traces with blocks of at least kMinDecodeAheadBlock records
+// decode on a thread one block ahead of the consumer. What reaches the
+// consumer, and when a fatal is raised, must not depend on that.
+
+using TraceFrontendAsync = TraceFrontendIngestTest;
+
+/** Threads alive in this process. A thread is started and joined
+ * first, so helper threads a sanitizer runtime starts along with the
+ * first thread are already counted. */
+std::size_t
+threadCount()
+{
+    std::thread([] {}).join();
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+/** FNV-1a digest of a whole drain of @p f through next(). */
+std::uint64_t
+drainDigest(TraceFrontend &f)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    TraceRecord rec;
+    while (f.next(rec)) {
+        h = fnv1a(h, &rec.op, sizeof rec.op);
+        h = fnv1a(h, &rec.addr, sizeof rec.addr);
+        h = fnv1a(h, &rec.icount, sizeof rec.icount);
+        h = fnv1a(h, rec.data.data(), kLineSize);
+    }
+    return h;
+}
+
+TEST_F(TraceFrontendAsync, DestroyMidTraceJoinsDecoder)
+{
+    std::string path = writeBytes(
+        "big.gz", capture(dir_, TraceFormat::Gzip, 200000));
+    std::size_t before = threadCount();
+    {
+        TraceConfig tc;
+        TraceFrontend f(path, tc);
+        TraceRecord rec;
+        for (int i = 0; i < 10; ++i)
+            ASSERT_TRUE(f.next(rec));
+        EXPECT_EQ(threadCount(), before + 1);
+    }
+    EXPECT_EQ(threadCount(), before);
+}
+
+TEST_F(TraceFrontendAsync, ResetMidTraceMatchesFreshDrain)
+{
+    std::string path = writeBytes(
+        "mid.gz", capture(dir_, TraceFormat::Gzip, 20000));
+    TraceConfig tc;
+    tc.readAhead = kMinDecodeAheadBlock;
+    std::uint64_t fresh;
+    {
+        TraceFrontend f(path, tc);
+        fresh = drainDigest(f);
+    }
+    TraceFrontend f(path, tc);
+    TraceRecord rec;
+    for (int stopAt : {1000, 5}) {
+        for (int i = 0; i < stopAt; ++i)
+            ASSERT_TRUE(f.next(rec));
+        f.reset();
+        EXPECT_EQ(drainDigest(f), fresh) << "reset after " << stopAt;
+        f.reset();
+    }
+}
+
+TEST_F(TraceFrontendAsync, CorruptCorpusDiagnosticsAtLargerBlocks)
+{
+    // A block holding a bad record is never delivered: the records
+    // before it reach the consumer, then the fatal. Recorded at the
+    // same read_ahead with every block decoded on demand, on the
+    // consumer's thread.
+    const std::pair<std::uint64_t, std::uint64_t> expected[] = {
+        {7, 0xa4a9cc849eb3775cull},
+        {64, 0x2cc22c5f20c667e0ull},
+        {4096, 0xf802e5ec45aac085ull}};
+    for (auto [readAhead, expect] : expected) {
+        std::uint64_t digest;
+        std::string log;
+        corpusDigest(dir_, readAhead, digest, log);
+        EXPECT_EQ(digest, expect)
+            << "read_ahead " << readAhead << "\n" << log;
+    }
+}
+
+/** Split an outcome() into its verdict and delivered-record count. */
+std::pair<std::string, std::uint64_t>
+verdictAndCount(const std::string &o)
+{
+    std::size_t bar = o.find(" | ");
+    std::uint64_t n = 0;
+    if (o.compare(bar + 3, 4, "rec ") == 0)
+        n = std::stoull(o.substr(bar + 7));
+    return {o.substr(0, bar), n};
+}
+
+TEST_F(TraceFrontendAsync, ErrorInLaterBlockDeliversWholeBlocksFirst)
+{
+    // A bad record and a truncated gzip stream, each several blocks
+    // in. Decoded ahead, the records of every whole block before the
+    // bad one arrive, then the same fatal that record-at-a-time
+    // decoding raises after the records before the error.
+    const std::uint64_t block = kMinDecodeAheadBlock;
+    std::string text = capture(dir_, TraceFormat::Text, 3000);
+    std::string gz = gzipBytes(text);
+    const std::string cases[] = {
+        gzipBytes(text + "W zz 100\n" + text),
+        gz.substr(0, gz.size() * 3 / 4)};
+    for (const std::string &bytes : cases) {
+        std::string path = writeBytes("late.gz", bytes);
+        auto [verdict, n] = verdictAndCount(outcome(path, 1));
+        ASSERT_EQ(verdict.rfind("fatal: ", 0), 0u) << verdict;
+        ASSERT_GT(n, 2 * block);
+        auto [aheadVerdict, aheadN] = verdictAndCount(outcome(path, block));
+        EXPECT_EQ(aheadVerdict, verdict);
+        EXPECT_EQ(aheadN, n / block * block);
+    }
+    // The same bad record in plain text, decoded on demand in blocks
+    // of the same size, gives the identical outcome.
+    std::string plain = text + "W zz 100\n" + text;
+    EXPECT_EQ(outcome(writeBytes("late.gz", gzipBytes(plain)), block),
+              outcome(writeBytes("late.trace", plain), block));
+}
+
+TEST_F(TraceFrontendAsync, InterleavedNextAndBatchAcrossBlocks)
+{
+    const std::size_t records = 3 * kMinDecodeAheadBlock + 100;
+    std::string text =
+        capture(dir_, TraceFormat::Text, static_cast<int>(records));
+    const std::string paths[] = {writeBytes("mix.trace", text),
+                                 writeBytes("mix.gz", gzipBytes(text))};
+    std::vector<TraceRecord> expect = decodeAll(paths[0]);
+    ASSERT_EQ(expect.size(), records);
+    for (std::uint64_t readAhead : {std::uint64_t{7}, kMinDecodeAheadBlock}) {
+        for (const std::string &path : paths) {
+            TraceConfig tc;
+            tc.readAhead = readAhead;
+            TraceFrontend f(path, tc);
+            std::vector<TraceRecord> got;
+            TraceRecord batch[13];
+            for (std::size_t step = 0;; ++step) {
+                if (step % 2 == 0) {
+                    if (!f.next(batch[0]))
+                        break;
+                    got.push_back(batch[0]);
+                } else {
+                    std::size_t n = f.nextBatch(batch, 1 + step % 13);
+                    if (n == 0)
+                        break;
+                    got.insert(got.end(), batch, batch + n);
+                }
+            }
+            expectSameRecords(expect, got);
+            EXPECT_EQ(f.recordsDecoded(), records);
+        }
+    }
+}
+
+TEST_F(TraceFrontendAsync, ExactMultipleOfBlockEndsCleanly)
+{
+    const std::uint64_t block = kMinDecodeAheadBlock;
+    std::string text =
+        capture(dir_, TraceFormat::Text, static_cast<int>(4 * block));
+    for (const std::string &path :
+         {writeBytes("exact.trace", text),
+          writeBytes("exact.gz", gzipBytes(text))}) {
+        std::size_t before = threadCount();
+        TraceConfig tc;
+        tc.readAhead = block;
+        TraceFrontend f(path, tc);
+        TraceRecord rec;
+        std::uint64_t n = 0;
+        while (f.next(rec))
+            ++n;
+        EXPECT_EQ(n, 4 * block);
+        EXPECT_FALSE(f.next(rec));
+        EXPECT_EQ(f.nextBatch(&rec, 1), 0u);
+        EXPECT_EQ(f.recordsDecoded(), 4 * block);
+        EXPECT_EQ(f.peakBufferedRecords(), block);
+        // The decoder is joined once the trace has been handed over.
+        EXPECT_EQ(threadCount(), before);
+    }
 }
 
 } // namespace

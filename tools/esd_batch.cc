@@ -151,6 +151,8 @@ main(int argc, char **argv)
     // Pipeline workers multiply under the sweep pool: -jobs=J each
     // running a -workers=W pipeline is J*W live threads. Refuse plans
     // that oversubscribe the host instead of quietly thrashing it.
+    // A gzip -trace-in job also runs one trace decoder thread, which
+    // sleeps while it is a block ahead; it is not counted here.
     if (workers >= 1) {
         unsigned hc = std::thread::hardware_concurrency();
         if (hc == 0)

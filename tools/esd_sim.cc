@@ -88,7 +88,7 @@
  *   via -trace-in. Requires a synthetic workload (-app=);
  *   `-trace-format=auto|text|gzip|binary` capture format (auto=text);
  *   `-trace-payload=B` capture 64 B write payloads (default 1);
- *   `-trace-read-ahead=N` frontend record buffer bound.
+ *   `-trace-read-ahead=N` frontend decode block size in records.
  */
 
 #include <algorithm>
