@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 
 namespace esd
@@ -10,6 +11,11 @@ namespace esd
 
 namespace
 {
+
+/** Upper bound of every `*_kb` cache size key (16 GiB): far above any
+ * real cache, and the `<< 10` to bytes cannot overflow. */
+constexpr std::uint64_t kMaxCacheKb = 1ull << 24;
+constexpr std::uint64_t kMaxCacheAssoc = 1u << 16;
 
 std::string
 trim(const std::string &s)
@@ -29,9 +35,11 @@ asU64(const std::string &key, const std::string &v)
         esd_fatal("config key '%s': '%s' is negative (expected an "
                   "unsigned integer)",
                   key.c_str(), v.c_str());
+    // Decimal, or hex with a 0x prefix; a leading 0 is not octal.
+    bool hex = v.size() > 1 && v[0] == '0' && (v[1] == 'x' || v[1] == 'X');
     try {
         std::size_t consumed = 0;
-        std::uint64_t out = std::stoull(v, &consumed, 0);
+        std::uint64_t out = std::stoull(v, &consumed, hex ? 16 : 10);
         if (consumed != v.size())
             esd_fatal("config key '%s': trailing garbage in '%s'",
                       key.c_str(), v.c_str());
@@ -93,12 +101,11 @@ asU64In(const std::string &key, const std::string &v, std::uint64_t lo,
 bool
 asBool(const std::string &key, const std::string &v)
 {
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
-    esd_fatal("config key '%s': '%s' is not a boolean", key.c_str(),
-              v.c_str());
+    std::optional<bool> b = boolWord(v);
+    if (!b)
+        esd_fatal("config key '%s': '%s' is not a boolean", key.c_str(),
+                  v.c_str());
+    return *b;
 }
 
 } // namespace
@@ -256,17 +263,20 @@ applyConfigKey(SimConfig &cfg, const std::string &key,
     }
     // Cache hierarchy.
     else if (k == "cache.l1_kb") {
-        cfg.cache.l1Size = asU64(k, v) << 10;
+        cfg.cache.l1Size = asU64In(k, v, 1, kMaxCacheKb) << 10;
     } else if (k == "cache.l2_kb") {
-        cfg.cache.l2Size = asU64(k, v) << 10;
+        cfg.cache.l2Size = asU64In(k, v, 1, kMaxCacheKb) << 10;
     } else if (k == "cache.l3_kb") {
-        cfg.cache.l3Size = asU64(k, v) << 10;
+        cfg.cache.l3Size = asU64In(k, v, 1, kMaxCacheKb) << 10;
     } else if (k == "cache.l1_assoc") {
-        cfg.cache.l1Assoc = static_cast<unsigned>(asU64(k, v));
+        cfg.cache.l1Assoc =
+            static_cast<unsigned>(asU64In(k, v, 1, kMaxCacheAssoc));
     } else if (k == "cache.l2_assoc") {
-        cfg.cache.l2Assoc = static_cast<unsigned>(asU64(k, v));
+        cfg.cache.l2Assoc =
+            static_cast<unsigned>(asU64In(k, v, 1, kMaxCacheAssoc));
     } else if (k == "cache.l3_assoc") {
-        cfg.cache.l3Assoc = static_cast<unsigned>(asU64(k, v));
+        cfg.cache.l3Assoc =
+            static_cast<unsigned>(asU64In(k, v, 1, kMaxCacheAssoc));
     }
     // Crypto cost model.
     else if (k == "crypto.sha1_latency") {
@@ -282,9 +292,9 @@ applyConfigKey(SimConfig &cfg, const std::string &key,
     }
     // Metadata.
     else if (k == "metadata.efit_kb") {
-        cfg.metadata.efitCacheBytes = asU64(k, v) << 10;
+        cfg.metadata.efitCacheBytes = asU64In(k, v, 1, kMaxCacheKb) << 10;
     } else if (k == "metadata.amt_kb") {
-        cfg.metadata.amtCacheBytes = asU64(k, v) << 10;
+        cfg.metadata.amtCacheBytes = asU64In(k, v, 1, kMaxCacheKb) << 10;
     } else if (k == "metadata.refer_h_max") {
         cfg.metadata.referHMax = static_cast<std::uint32_t>(asU64(k, v));
     } else if (k == "metadata.decay_period") {

@@ -18,6 +18,9 @@
  *   metadata.decay_period, metadata.decay_delta, metadata.use_lrcu
  *   core.clock_ghz, core.base_cpi
  *   seed
+ *
+ * Integers are decimal, or hex with a 0x prefix (a leading 0 is not
+ * octal, matching the command line).
  */
 
 #ifndef ESD_COMMON_CONFIG_IO_HH

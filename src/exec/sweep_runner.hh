@@ -91,6 +91,10 @@ std::uint64_t deriveJobSeed(std::uint64_t base_seed,
 using SweepProgressFn =
     std::function<void(std::size_t, const SweepJob &, const RunResult &)>;
 
+/** Largest -jobs= value the tools accept; the pool never starts more
+ * threads than there are jobs. */
+constexpr unsigned kMaxSweepJobs = 1024;
+
 /**
  * Thread-pooled executor for independent Simulator jobs.
  *

@@ -609,7 +609,8 @@ bool
 TraceFrontend::decodeBinary(TraceRecord &rec)
 {
     if (binVersion_ <= 1) {
-        // Legacy headerless stream: raw BinaryTraceWriter records.
+        // Legacy v1: no header, records [u8 op][u64 addr][u32 icount]
+        // then a 64 B payload for writes only.
         std::uint8_t op;
         if (!in_->readExact(&op, 1, "record"))
             return false;

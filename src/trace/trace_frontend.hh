@@ -28,10 +28,11 @@
  *   - **binary** — `ESDT` magic. Version 2 carries a versioned header
  *     (version byte, flags byte with the line-payload bit, reserved
  *     u16) and length-prefixed records
- *     `[u8 len][u8 op][u64 addr][u32 icount][64 B payload?]`; the
- *     legacy headerless v1 record stream written by BinaryTraceWriter
- *     is still decoded (its first post-magic byte is an op, 0/1, which
- *     no v2 version byte can be).
+ *     `[u8 len][u8 op][u64 addr][u32 icount][64 B payload?]`. Legacy
+ *     v1 files still decode: after the magic they have no header, only
+ *     records `[u8 op][u64 addr][u32 icount]` followed, for writes
+ *     only, by the 64 B payload. Their first post-magic byte is an op,
+ *     0/1, which no v2 version byte can be.
  *
  * Write records that carry no payload get deterministic synthesized
  * content — a splitmix64 stream keyed by (address, global write

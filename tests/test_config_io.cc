@@ -32,6 +32,17 @@ TEST(ConfigIo, ApplyKnownKeys)
     EXPECT_EQ(cfg.cache.l3Size, 8192u << 10);
     EXPECT_TRUE(applyConfigKey(cfg, "seed", "42"));
     EXPECT_EQ(cfg.seed, 42u);
+    // A leading zero is decimal (as on the command line), not octal;
+    // 0x selects hex.
+    EXPECT_TRUE(applyConfigKey(cfg, "seed", "010"));
+    EXPECT_EQ(cfg.seed, 10u);
+    EXPECT_TRUE(applyConfigKey(cfg, "seed", "0x10"));
+    EXPECT_EQ(cfg.seed, 16u);
+    // The size keys' upper bounds are accepted.
+    EXPECT_TRUE(applyConfigKey(cfg, "metadata.efit_kb", "16777216"));
+    EXPECT_EQ(cfg.metadata.efitCacheBytes, 1ull << 34);
+    EXPECT_TRUE(applyConfigKey(cfg, "cache.l2_assoc", "65536"));
+    EXPECT_EQ(cfg.cache.l2Assoc, 65536u);
 }
 
 TEST(ConfigIo, UnknownKeyRejected)
@@ -151,6 +162,10 @@ TEST(ConfigIoDeath, TrailingGarbageIsFatal)
                 ::testing::ExitedWithCode(1), "trailing garbage");
     EXPECT_EXIT(applyConfigKey(cfg, "core.clock_ghz", "2.0GHz"),
                 ::testing::ExitedWithCode(1), "trailing garbage");
+    EXPECT_EXIT(applyConfigKey(cfg, "seed", "0x"),
+                ::testing::ExitedWithCode(1), "trailing garbage");
+    EXPECT_EXIT(applyConfigKey(cfg, "seed", "0x1g"),
+                ::testing::ExitedWithCode(1), "trailing garbage");
 }
 
 TEST(ConfigIoDeath, OverflowIsFatal)
@@ -159,6 +174,30 @@ TEST(ConfigIoDeath, OverflowIsFatal)
     EXPECT_EXIT(applyConfigKey(cfg, "pcm.read_latency",
                                "99999999999999999999999999"),
                 ::testing::ExitedWithCode(1), "does not fit");
+}
+
+/** The `*_kb` keys are shifted to bytes and the assoc keys divide: a
+ * zero or a size whose shift would wrap is refused up front. */
+TEST(ConfigIoDeath, CacheSizeKeysOutOfRangeAreFatal)
+{
+    SimConfig cfg;
+    for (const char *k : {"cache.l1_kb", "cache.l2_kb", "cache.l3_kb",
+                          "metadata.efit_kb", "metadata.amt_kb"}) {
+        EXPECT_EXIT(applyConfigKey(cfg, k, "0"),
+                    ::testing::ExitedWithCode(1), "out of range") << k;
+        // 2^54 KB wraps to 0 bytes through << 10.
+        EXPECT_EXIT(applyConfigKey(cfg, k, "18014398509481984"),
+                    ::testing::ExitedWithCode(1), "out of range") << k;
+        EXPECT_EXIT(applyConfigKey(cfg, k, "16777217"),
+                    ::testing::ExitedWithCode(1), "out of range") << k;
+    }
+    for (const char *k :
+         {"cache.l1_assoc", "cache.l2_assoc", "cache.l3_assoc"}) {
+        EXPECT_EXIT(applyConfigKey(cfg, k, "0"),
+                    ::testing::ExitedWithCode(1), "out of range") << k;
+        EXPECT_EXIT(applyConfigKey(cfg, k, "4294967297"),
+                    ::testing::ExitedWithCode(1), "out of range") << k;
+    }
 }
 
 TEST(ConfigIo, RasKeysApply)

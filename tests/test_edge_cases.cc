@@ -7,14 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-
 #include "common/random.hh"
 #include "core/simulator.hh"
 #include "dedup/efit.hh"
 #include "nvm/pcm_device.hh"
-#include "trace/trace_io.hh"
 #include "trace/workloads.hh"
 
 namespace esd
@@ -23,54 +19,6 @@ namespace
 {
 
 // ------------------------------------------------------- death tests
-
-TEST(TraceIoDeath, MissingFileIsFatal)
-{
-    EXPECT_EXIT(TextTraceReader("/nonexistent/trace.txt"),
-                ::testing::ExitedWithCode(1), "cannot open");
-}
-
-TEST(TraceIoDeath, MalformedOpIsFatal)
-{
-    auto path = std::filesystem::temp_directory_path() /
-                ("esd_bad_trace_" + std::to_string(::getpid()));
-    {
-        std::ofstream out(path);
-        out << "X 40 12\n";
-    }
-    TextTraceReader reader(path.string());
-    TraceRecord rec;
-    EXPECT_EXIT(reader.next(rec), ::testing::ExitedWithCode(1), "bad op");
-    std::filesystem::remove(path);
-}
-
-TEST(TraceIoDeath, TruncatedWriteDataIsFatal)
-{
-    auto path = std::filesystem::temp_directory_path() /
-                ("esd_short_trace_" + std::to_string(::getpid()));
-    {
-        std::ofstream out(path);
-        out << "W 40 deadbeef 12\n";  // needs 128 hex chars
-    }
-    TextTraceReader reader(path.string());
-    TraceRecord rec;
-    EXPECT_EXIT(reader.next(rec), ::testing::ExitedWithCode(1),
-                "hex chars");
-    std::filesystem::remove(path);
-}
-
-TEST(TraceIoDeath, NotABinaryTraceIsFatal)
-{
-    auto path = std::filesystem::temp_directory_path() /
-                ("esd_not_bin_" + std::to_string(::getpid()));
-    {
-        std::ofstream out(path);
-        out << "plain text";
-    }
-    EXPECT_EXIT(BinaryTraceReader(path.string()),
-                ::testing::ExitedWithCode(1), "not an ESD binary trace");
-    std::filesystem::remove(path);
-}
 
 TEST(WorkloadsDeath, UnknownAppIsFatal)
 {

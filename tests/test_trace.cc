@@ -1,19 +1,15 @@
 /**
  * @file
  * Tests for the trace substrate: Zipf sampling, synthetic workload
- * calibration against the paper's characterisation, and trace IO.
+ * calibration against the paper's characterisation, and VectorTrace.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <unordered_set>
 
 #include "dedup/analyzer.hh"
 #include "trace/trace.hh"
-#include "trace/trace_io.hh"
 #include "trace/workloads.hh"
 #include "trace/zipf.hh"
 
@@ -214,198 +210,6 @@ TEST(SyntheticWorkload, WriteFractionTracksProfile)
     }
     EXPECT_NEAR(static_cast<double>(writes) / total,
                 w.profile().writeFrac, 0.03);
-}
-
-// ------------------------------------------------------------ trace IO
-
-class TraceIoTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        path_ = std::filesystem::temp_directory_path() /
-                ("esd_trace_test_" + std::to_string(::getpid()));
-    }
-
-    void TearDown() override { std::filesystem::remove(path_); }
-
-    std::filesystem::path path_;
-};
-
-TEST_F(TraceIoTest, TextRoundTrip)
-{
-    SyntheticWorkload w(findApp("wrf"), 9);
-    std::vector<TraceRecord> recs(200);
-    {
-        TextTraceWriter writer(path_.string());
-        for (auto &r : recs) {
-            ASSERT_TRUE(w.next(r));
-            writer.write(r);
-        }
-        EXPECT_EQ(writer.recordsWritten(), recs.size());
-    }
-    TextTraceReader reader(path_.string());
-    TraceRecord got;
-    for (const auto &want : recs) {
-        ASSERT_TRUE(reader.next(got));
-        EXPECT_EQ(got.op, want.op);
-        EXPECT_EQ(got.addr, want.addr);
-        EXPECT_EQ(got.icount, want.icount);
-        if (want.op == OpType::Write)
-            EXPECT_EQ(got.data, want.data);
-    }
-    EXPECT_FALSE(reader.next(got));
-}
-
-TEST_F(TraceIoTest, BinaryRoundTrip)
-{
-    SyntheticWorkload w(findApp("facesim"), 10);
-    std::vector<TraceRecord> recs(500);
-    {
-        BinaryTraceWriter writer(path_.string());
-        for (auto &r : recs) {
-            ASSERT_TRUE(w.next(r));
-            writer.write(r);
-        }
-    }
-    BinaryTraceReader reader(path_.string());
-    TraceRecord got;
-    for (const auto &want : recs) {
-        ASSERT_TRUE(reader.next(got));
-        EXPECT_EQ(got.op, want.op);
-        EXPECT_EQ(got.addr, want.addr);
-        EXPECT_EQ(got.icount, want.icount);
-        if (want.op == OpType::Write)
-            EXPECT_EQ(got.data, want.data);
-    }
-    EXPECT_FALSE(reader.next(got));
-}
-
-TEST_F(TraceIoTest, ReaderResetRestarts)
-{
-    {
-        BinaryTraceWriter writer(path_.string());
-        TraceRecord r;
-        r.op = OpType::Write;
-        r.addr = 0x1240;
-        r.icount = 5;
-        r.data.setWord(0, 77);
-        writer.write(r);
-    }
-    BinaryTraceReader reader(path_.string());
-    TraceRecord got;
-    ASSERT_TRUE(reader.next(got));
-    EXPECT_FALSE(reader.next(got));
-    reader.reset();
-    ASSERT_TRUE(reader.next(got));
-    EXPECT_EQ(got.addr, 0x1240u);
-    EXPECT_EQ(got.data.word(0), 77u);
-}
-
-TEST_F(TraceIoTest, TextBadHexAddressIsFatal)
-{
-    {
-        std::ofstream out(path_);
-        out << "W zzzz " << std::string(kLineSize * 2, '0') << " 10\n";
-    }
-    TextTraceReader reader(path_.string());
-    TraceRecord rec;
-    EXPECT_EXIT(reader.next(rec), ::testing::ExitedWithCode(1),
-                "bad hex address 'zzzz'");
-}
-
-TEST_F(TraceIoTest, TextTrailingGarbageAddressIsFatal)
-{
-    {
-        std::ofstream out(path_);
-        out << "R 12g4 10\n";
-    }
-    TextTraceReader reader(path_.string());
-    TraceRecord rec;
-    EXPECT_EXIT(reader.next(rec), ::testing::ExitedWithCode(1),
-                "bad hex address");
-}
-
-TEST_F(TraceIoTest, TextBadOpIsFatal)
-{
-    {
-        std::ofstream out(path_);
-        out << "X 40 10\n";
-    }
-    TextTraceReader reader(path_.string());
-    TraceRecord rec;
-    EXPECT_EXIT(reader.next(rec), ::testing::ExitedWithCode(1),
-                "bad op 'X'");
-}
-
-TEST_F(TraceIoTest, BinaryBadMagicIsFatal)
-{
-    {
-        std::ofstream out(path_, std::ios::binary);
-        out << "NOPE";
-    }
-    EXPECT_EXIT(BinaryTraceReader reader(path_.string()),
-                ::testing::ExitedWithCode(1), "not an ESD binary trace");
-}
-
-TEST_F(TraceIoTest, BinaryTruncatedRecordIsFatal)
-{
-    {
-        BinaryTraceWriter writer(path_.string());
-        TraceRecord r;
-        r.op = OpType::Read;
-        r.addr = 0x40;
-        writer.write(r);
-    }
-    // Chop the last record short.
-    std::filesystem::resize_file(
-        path_, std::filesystem::file_size(path_) - 2);
-    BinaryTraceReader reader(path_.string());
-    TraceRecord got;
-    EXPECT_EXIT(reader.next(got), ::testing::ExitedWithCode(1),
-                "truncated record");
-}
-
-TEST_F(TraceIoTest, BinaryTruncatedPayloadIsFatal)
-{
-    {
-        BinaryTraceWriter writer(path_.string());
-        TraceRecord r;
-        r.op = OpType::Write;
-        r.addr = 0x80;
-        r.data.setWord(0, 42);
-        writer.write(r);
-    }
-    std::filesystem::resize_file(
-        path_, std::filesystem::file_size(path_) - 8);
-    BinaryTraceReader reader(path_.string());
-    TraceRecord got;
-    EXPECT_EXIT(reader.next(got), ::testing::ExitedWithCode(1),
-                "truncated write payload");
-}
-
-TEST_F(TraceIoTest, BinaryBadOpByteIsFatal)
-{
-    {
-        BinaryTraceWriter writer(path_.string());
-        TraceRecord r;
-        r.op = OpType::Read;
-        r.addr = 0x40;
-        writer.write(r);
-    }
-    // Corrupt the op byte (first byte after the 4-byte magic).
-    {
-        std::fstream f(path_, std::ios::binary | std::ios::in |
-                                  std::ios::out);
-        f.seekp(4);
-        char bad = 7;
-        f.write(&bad, 1);
-    }
-    BinaryTraceReader reader(path_.string());
-    TraceRecord got;
-    EXPECT_EXIT(reader.next(got), ::testing::ExitedWithCode(1),
-                "bad op byte 7");
 }
 
 TEST(VectorTrace, PushAndReplay)

@@ -10,7 +10,10 @@
  * with crash injection. These tests pin each leg of that claim, plus
  * the constant-memory property (the decoded-record buffer never
  * exceeds [trace] read_ahead) and the deterministic content synthesis
- * for payload-less traces.
+ * for payload-less traces. The TraceIo* cases hold the frontend to
+ * what the older text/binary readers promised: round trips, reset,
+ * and a named fatal for each malformed record, including legacy v1
+ * binary files.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +30,6 @@
 #include "exec/pipeline.hh"
 #include "trace/trace_capture.hh"
 #include "trace/trace_frontend.hh"
-#include "trace/trace_io.hh"
 #include "trace/workloads.hh"
 
 namespace esd
@@ -100,6 +102,45 @@ drain(const std::string &path, std::uint64_t read_ahead = 4096)
     TraceRecord rec;
     while (f.next(rec))
         out.push_back(rec);
+    return out;
+}
+
+/** The legacy v1 binary encoding of @p recs: the magic, then per
+ * record [u8 op][u64 addr][u32 icount] (little-endian) and, for
+ * writes only, the 64 B payload. */
+std::string
+encodeV1(const std::vector<TraceRecord> &recs)
+{
+    std::string out = "ESDT";
+    for (const TraceRecord &r : recs) {
+        out += static_cast<char>(r.op == OpType::Write ? 1 : 0);
+        for (int i = 0; i < 8; ++i)
+            out += static_cast<char>(r.addr >> (8 * i));
+        for (int i = 0; i < 4; ++i)
+            out += static_cast<char>(r.icount >> (8 * i));
+        if (r.op == OpType::Write)
+            out.append(reinterpret_cast<const char *>(r.data.data()),
+                       kLineSize);
+    }
+    return out;
+}
+
+std::string
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+    return path;
+}
+
+/** @p n records of @p app's synthetic stream. */
+std::vector<TraceRecord>
+synthesize(const char *app, std::uint64_t seed, std::size_t n)
+{
+    SyntheticWorkload synth(findApp(app), seed);
+    std::vector<TraceRecord> out(n);
+    for (TraceRecord &r : out)
+        synth.next(r);
     return out;
 }
 
@@ -385,16 +426,8 @@ TEST_F(TraceFrontendTest, RamulatorTokenOrderAndDefaults)
 
 TEST_F(TraceFrontendTest, LegacyV1BinaryStillDecodes)
 {
-    std::string path = file("v1.bin");
-    std::vector<TraceRecord> want(64);
-    {
-        BinaryTraceWriter writer(path);
-        SyntheticWorkload synth(findApp("mcf"), 11);
-        for (TraceRecord &r : want) {
-            ASSERT_TRUE(synth.next(r));
-            writer.write(r);
-        }
-    }
+    std::vector<TraceRecord> want = synthesize("mcf", 11, 64);
+    std::string path = writeFile(file("v1.bin"), encodeV1(want));
     TraceConfig tc;
     TraceFrontend f(path, tc);
     EXPECT_EQ(f.format(), TraceFormat::Binary);
@@ -433,6 +466,173 @@ TEST_F(TraceFrontendTest, PayloadlessCaptureReplaysDeterministically)
     b1 << f1.rdbuf();
     b2 << f2.rdbuf();
     EXPECT_EQ(b1.str(), b2.str());
+}
+
+// ---------------------------------------------- trace file I/O
+// Round trips through the writer every tool uses (esd_tracegen,
+// -capture-out=, esd_tracecvt), and the record errors of text and
+// legacy v1 binary files, each dying with its own message.
+
+using TraceIoTest = TraceFrontendTest;
+
+/** Write @p want with TraceCaptureWriter in @p format, read it back. */
+void
+expectRoundTrip(const std::string &path, TraceFormat format,
+                const std::vector<TraceRecord> &want)
+{
+    TraceConfig tc;
+    tc.format = format;
+    TraceCaptureWriter writer(path, tc);
+    for (const TraceRecord &r : want)
+        writer.write(r);
+    writer.close();
+    EXPECT_EQ(writer.count(), want.size());
+    expectSameRecords(want, drain(path));
+}
+
+TEST_F(TraceIoTest, TextRoundTrip)
+{
+    expectRoundTrip(file("rt.trace"), TraceFormat::Text,
+                    synthesize("wrf", 9, 200));
+}
+
+TEST_F(TraceIoTest, BinaryRoundTrip)
+{
+    expectRoundTrip(file("rt.bin"), TraceFormat::Binary,
+                    synthesize("facesim", 10, 500));
+}
+
+TEST_F(TraceIoTest, ReaderResetRestarts)
+{
+    TraceRecord w;
+    w.op = OpType::Write;
+    w.addr = 0x1240;
+    w.icount = 5;
+    w.data.setWord(0, 77);
+    std::string path = writeFile(file("one.bin"), encodeV1({w}));
+    TraceConfig tc;
+    TraceFrontend f(path, tc);
+    TraceRecord got;
+    ASSERT_TRUE(f.next(got));
+    EXPECT_FALSE(f.next(got));
+    f.reset();
+    ASSERT_TRUE(f.next(got));
+    EXPECT_EQ(got.addr, 0x1240u);
+    EXPECT_EQ(got.data.word(0), 77u);
+    EXPECT_FALSE(f.next(got));
+}
+
+TEST_F(TraceIoTest, TextBadHexAddressIsFatal)
+{
+    std::string p = writeFile(
+        file("addr.trace"),
+        "W zzzz " + std::string(kLineSize * 2, '0') + " 10\n");
+    EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
+                ":1: bad hex address 'zzzz'");
+    // 17 hex digits do not fit in an address: refused, not wrapped.
+    p = writeFile(file("wide.trace"), "R 10000000000000000 10\n");
+    EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
+                "bad hex address '10000000000000000'");
+}
+
+TEST_F(TraceIoTest, TextTrailingGarbageAddressIsFatal)
+{
+    std::string p = writeFile(file("g.trace"), "R 40 10\nR 12g4 10\n");
+    EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
+                ":2: bad hex address '12g4'");
+}
+
+TEST_F(TraceIoTest, TextBadOpIsFatal)
+{
+    // Neither token is an op, so the record is read in Ramulator order
+    // (address first) and its second token is the bad op.
+    std::string p = writeFile(file("op.trace"), "X 40 10\n");
+    EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
+                ":1: bad op '40'");
+}
+
+TEST_F(TraceIoTest, BinaryBadMagicIsFatal)
+{
+    // Formats are sniffed, never assumed: without the ESDT magic the
+    // file is text, and "NOPE" is not a record.
+    std::string p = writeFile(file("nope.bin"), "NOPE");
+    EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
+                ":1: malformed record");
+}
+
+TEST_F(TraceIoTest, BinaryTruncatedRecordIsFatal)
+{
+    TraceRecord r;
+    r.op = OpType::Read;
+    r.addr = 0x40;
+    std::string bytes = encodeV1({r, r});
+    bytes.resize(bytes.size() - 2);
+    EXPECT_EXIT(drain(writeFile(file("cut.bin"), bytes)),
+                ::testing::ExitedWithCode(1), "truncated record");
+}
+
+TEST_F(TraceIoTest, BinaryTruncatedPayloadIsFatal)
+{
+    TraceRecord r;
+    r.op = OpType::Write;
+    r.addr = 0x80;
+    r.data.setWord(0, 42);
+    std::string bytes = encodeV1({r});
+    bytes.resize(bytes.size() - 8);
+    EXPECT_EXIT(drain(writeFile(file("cutw.bin"), bytes)),
+                ::testing::ExitedWithCode(1), "truncated write payload");
+}
+
+TEST_F(TraceIoTest, BinaryBadOpByteIsFatal)
+{
+    // A bad op in the first record reads as a version byte; in a later
+    // v1 record it is a bad op (1 + 8 + 4 bytes per read record).
+    TraceRecord r;
+    r.op = OpType::Read;
+    r.addr = 0x40;
+    std::string bytes = encodeV1({r, r});
+    bytes[4 + 13] = 7;
+    EXPECT_EXIT(drain(writeFile(file("op.bin"), bytes)),
+                ::testing::ExitedWithCode(1), "bad op byte 7");
+}
+
+using TraceIoDeath = TraceFrontendTest;
+
+TEST_F(TraceIoDeath, MissingFileIsFatal)
+{
+    EXPECT_EXIT(drain("/nonexistent/trace.txt"),
+                ::testing::ExitedWithCode(1),
+                "cannot open trace file '/nonexistent/trace.txt'");
+}
+
+TEST_F(TraceIoDeath, MalformedOpIsFatal)
+{
+    // Address first (Ramulator order) with a bad op token.
+    std::string p = writeFile(file("op2.trace"), "# c\n40 X 12\n");
+    EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
+                ":2: bad op 'X'");
+}
+
+TEST_F(TraceIoDeath, TruncatedWriteDataIsFatal)
+{
+    // One hex digit short of a line. A token of 16 characters or fewer
+    // is an icount, so "deadbeef" in the same place is a bad icount.
+    std::string p = writeFile(
+        file("short.trace"),
+        "W 40 " + std::string(kLineSize * 2 - 1, 'a') + " 12\n");
+    EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
+                "write payload must be 128 hex chars \\(got 127\\)");
+    p = writeFile(file("short2.trace"), "W 40 deadbeef 12\n");
+    EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
+                "bad icount 'deadbeef'");
+}
+
+TEST_F(TraceIoDeath, NotABinaryTraceIsFatal)
+{
+    // No magic, so the file is parsed as text and refused by line.
+    std::string p = writeFile(file("plain.bin"), "plain text");
+    EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
+                ":1: bad op 'text'");
 }
 
 } // namespace

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/config_io.hh"
 #include "common/logging.hh"
 #include "core/simulator.hh"
@@ -85,19 +86,19 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("-records=", 0) == 0) {
-            records = std::stoull(arg.substr(9));
+            records = parseU64("-records", arg.substr(9));
             records_given = true;
         } else if (arg.rfind("-warmup=", 0) == 0) {
-            warmup = std::stoull(arg.substr(8));
+            warmup = parseU64("-warmup", arg.substr(8));
             warmup_given = true;
         } else if (arg.rfind("-trace-in=", 0) == 0) {
             trace_in = arg.substr(10);
         } else if (arg.rfind("-jobs=", 0) == 0) {
-            jobs = static_cast<unsigned>(std::stoul(arg.substr(6)));
+            jobs = static_cast<unsigned>(
+                parseU64In("-jobs", arg.substr(6), 0, exec::kMaxSweepJobs));
         } else if (arg.rfind("-workers=", 0) == 0) {
-            workers = static_cast<unsigned>(std::stoul(arg.substr(9)));
-            if (workers < 1 || workers > 256)
-                esd_fatal("-workers: %u out of range [1, 256]", workers);
+            workers = static_cast<unsigned>(
+                parseU64In("-workers", arg.substr(9), 1, 256));
         } else if (arg.rfind("-out=", 0) == 0) {
             out_path = arg.substr(5);
         } else if (arg.rfind("-ConfigFile=", 0) == 0) {

@@ -8,14 +8,13 @@
  *           [-records=N] [-warmup=N] [-seed=N]
  *           [-latency-out=<path>] [-dump-config]
  *           [-stats-json=<path>] [-stats-interval=N]
- *           [-trace-out=<path>] [-trace-cap=N]
+ *           [-trace-out=<path>] [-trace-ring=N]
  *
  * Scheme selector follows the artifact: 0 Baseline, 1 Dedup_SHA1,
  * 2 DeWrite, 3 ESD (4/5 add the ESD_Full and ESD+ extensions).
- * `-InputFile`
- * accepts both the text and binary trace formats (by extension:
- * `.bin` is binary). `-latency-out` writes the raw write-latency
- * samples, one per line, for external CDF plotting (Fig. 15).
+ * `-InputFile=` is the artifact's spelling of `-trace-in=` (below).
+ * `-latency-out` writes the raw write-latency samples, one per line,
+ * for external CDF plotting (Fig. 15).
  *
  * Observability outputs:
  *   `-stats-json` writes the machine-readable run report (config +
@@ -76,12 +75,13 @@
  *   features and are rejected in pipeline mode.
  *
  * Trace frontend / capture (see `[trace]` config keys):
- *   `-trace-in=path` streams an on-disk trace (text, gzip, or binary;
- *   format sniffed from content) through the streaming frontend —
- *   constant memory at any trace length. Exclusive with -app= and
- *   -InputFile=; composes with -workers=N and crash injection. The
- *   whole file replays unless -records caps it; -warmup applies only
- *   when given (file input defaults to 0/0);
+ *   `-trace-in=path` (or `-InputFile=path`) streams an on-disk trace
+ *   (text, gzip, or binary; format sniffed from content) through the
+ *   streaming frontend — constant memory at any trace length.
+ *   Exclusive with -app=, and the two spellings with each other;
+ *   composes with -workers=N and crash injection. The whole file
+ *   replays unless -records caps it; -warmup applies only when given
+ *   (file input defaults to 0/0);
  *   `-capture-out=path` tees the consumed record stream to a trace
  *   file (format from -trace-format / [trace] format; address-only
  *   records with -trace-payload=0) so the run replays bit-identically
@@ -99,6 +99,7 @@
 #include <string>
 
 #include "common/atomic_file.hh"
+#include "common/cli.hh"
 #include "common/config_io.hh"
 #include "common/logging.hh"
 #include "common/write_trace.hh"
@@ -109,7 +110,6 @@
 #include "persist/recovery.hh"
 #include "trace/trace_capture.hh"
 #include "trace/trace_frontend.hh"
-#include "trace/trace_io.hh"
 #include "trace/workloads.hh"
 
 namespace
@@ -121,9 +121,9 @@ struct Options
 {
     SchemeKind scheme = SchemeKind::Esd;
     std::string configFile;
-    std::string inputFile;
     std::string app;
     std::string traceIn;
+    std::string traceInFlag;  ///< the spelling that set traceIn
     std::string captureOut;
     std::string traceFormat;
     std::uint64_t traceReadAhead = ~0ull;  ///< not given: [trace] value
@@ -189,36 +189,6 @@ struct Options
                persistCounterSlack != ~0ull || persistCrashAt != ~0ull;
     }
 };
-
-/** Strict u64 parse: the whole flag value must be a number. */
-std::uint64_t
-parseU64(const std::string &flag, const std::string &v)
-{
-    try {
-        std::size_t consumed = 0;
-        if (v.empty() || v[0] == '-')
-            throw std::invalid_argument(v);
-        std::uint64_t out = std::stoull(v, &consumed);
-        if (consumed != v.size())
-            throw std::invalid_argument(v);
-        return out;
-    } catch (const std::exception &) {
-        esd_fatal("%s: '%s' is not an unsigned integer", flag.c_str(),
-                  v.c_str());
-    }
-}
-
-/** Strict bool parse: 0/1/true/false/on/off. */
-bool
-parseBool(const std::string &flag, const std::string &v)
-{
-    if (v == "1" || v == "true" || v == "on")
-        return true;
-    if (v == "0" || v == "false" || v == "off")
-        return false;
-    esd_fatal("%s: '%s' is not a boolean (use 0/1/true/false/on/off)",
-              flag.c_str(), v.c_str());
-}
 
 /** Strict probability parse: a double in [0, 1]. */
 double
@@ -287,16 +257,21 @@ parseArgs(int argc, char **argv)
         auto value = [&](const char *prefix) -> std::string {
             return arg.substr(std::string(prefix).size());
         };
+        // The spelling given, for flags that have two.
+        auto name = [&] { return arg.substr(0, arg.find('=')); };
         if (arg.rfind("-scheme=", 0) == 0) {
             opt.scheme = parseSchemeKind(value("-scheme="));
         } else if (arg.rfind("-ConfigFile=", 0) == 0) {
             opt.configFile = value("-ConfigFile=");
-        } else if (arg.rfind("-InputFile=", 0) == 0) {
-            opt.inputFile = value("-InputFile=");
         } else if (arg.rfind("-app=", 0) == 0) {
             opt.app = value("-app=");
-        } else if (arg.rfind("-trace-in=", 0) == 0) {
-            opt.traceIn = value("-trace-in=");
+        } else if (arg.rfind("-trace-in=", 0) == 0 ||
+                   arg.rfind("-InputFile=", 0) == 0) {
+            // -InputFile= is the artifact's spelling of -trace-in=.
+            if (!opt.traceIn.empty() && name() != opt.traceInFlag)
+                esd_fatal("-trace-in is incompatible with -InputFile=");
+            opt.traceInFlag = name();
+            opt.traceIn = arg.substr(opt.traceInFlag.size() + 1);
         } else if (arg.rfind("-capture-out=", 0) == 0) {
             opt.captureOut = value("-capture-out=");
         } else if (arg.rfind("-trace-format=", 0) == 0) {
@@ -308,14 +283,9 @@ parseArgs(int argc, char **argv)
                                    ? 1
                                    : 0;
         } else if (arg.rfind("-trace-read-ahead=", 0) == 0) {
-            opt.traceReadAhead = parseU64("-trace-read-ahead",
-                                          value("-trace-read-ahead="));
-            if (opt.traceReadAhead < 1 ||
-                opt.traceReadAhead > (1u << 20))
-                esd_fatal("-trace-read-ahead: %llu out of range [1, %u]",
-                          static_cast<unsigned long long>(
-                              opt.traceReadAhead),
-                          1u << 20);
+            opt.traceReadAhead = parseU64In(
+                "-trace-read-ahead", value("-trace-read-ahead="), 1,
+                1u << 20);
         } else if (arg.rfind("-records=", 0) == 0) {
             opt.records = parseU64("-records", value("-records="));
             opt.recordsGiven = true;
@@ -325,10 +295,8 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("-seed=", 0) == 0) {
             opt.seed = parseU64("-seed", value("-seed="));
         } else if (arg.rfind("-workers=", 0) == 0) {
-            opt.workers = parseU64("-workers", value("-workers="));
-            if (opt.workers < 1 || opt.workers > 256)
-                esd_fatal("-workers: %llu out of range [1, 256]",
-                          static_cast<unsigned long long>(opt.workers));
+            opt.workers =
+                parseU64In("-workers", value("-workers="), 1, 256);
         } else if (arg.rfind("-latency-out=", 0) == 0) {
             opt.latencyOut = value("-latency-out=");
         } else if (arg.rfind("-stats-json=", 0) == 0) {
@@ -338,35 +306,23 @@ parseArgs(int argc, char **argv)
                 parseU64("-stats-interval", value("-stats-interval="));
         } else if (arg.rfind("-trace-out=", 0) == 0) {
             opt.traceOut = value("-trace-out=");
-        } else if (arg.rfind("-trace-ring=", 0) == 0) {
-            opt.traceCap = parseU64("-trace-ring", value("-trace-ring="));
-            if (opt.traceCap < 1 || opt.traceCap > (1u << 24))
-                esd_fatal("-trace-ring: %llu out of range [1, %u]",
-                          static_cast<unsigned long long>(opt.traceCap),
-                          1u << 24);
-        } else if (arg.rfind("-trace-cap=", 0) == 0) {
-            // Legacy alias of -trace-ring= (0 still caught below).
-            opt.traceCap = parseU64("-trace-cap", value("-trace-cap="));
+        } else if (arg.rfind("-trace-ring=", 0) == 0 ||
+                   arg.rfind("-trace-cap=", 0) == 0) {
+            // -trace-cap= is the legacy spelling of -trace-ring=; the
+            // bound is telemetry.trace_ring_capacity's.
+            opt.traceCap = parseU64In(
+                name(), arg.substr(name().size() + 1), 1, 1u << 24);
         } else if (arg.rfind("-spans-out=", 0) == 0) {
             opt.spansOut = value("-spans-out=");
         } else if (arg.rfind("-span-every=", 0) == 0) {
-            opt.spanEvery =
-                parseU64("-span-every", value("-span-every="));
-            if (opt.spanEvery < 1 || opt.spanEvery > (1u << 30))
-                esd_fatal("-span-every: %llu out of range [1, %u]",
-                          static_cast<unsigned long long>(opt.spanEvery),
-                          1u << 30);
+            opt.spanEvery = parseU64In("-span-every",
+                                       value("-span-every="), 1, 1u << 30);
         } else if (arg.rfind("-metrics-out=", 0) == 0) {
             opt.metricsOut = value("-metrics-out=");
         } else if (arg.rfind("-metrics-every=", 0) == 0) {
-            opt.metricsEvery =
-                parseU64("-metrics-every", value("-metrics-every="));
             // Same bound as telemetry.metrics_every_writes.
-            if (opt.metricsEvery > (1ull << 40))
-                esd_fatal("-metrics-every: %llu out of range [0, %llu]",
-                          static_cast<unsigned long long>(
-                              opt.metricsEvery),
-                          1ull << 40);
+            opt.metricsEvery = parseU64In(
+                "-metrics-every", value("-metrics-every="), 0, 1ull << 40);
         } else if (arg == "-hist-buckets") {
             opt.histBuckets = true;
         } else if (arg.rfind("-ras-read-ber=", 0) == 0) {
@@ -382,15 +338,11 @@ parseArgs(int argc, char **argv)
             opt.rasWriteVerify =
                 parseU64("-ras-write-verify", value("-ras-write-verify="));
         } else if (arg.rfind("-channels=", 0) == 0) {
-            opt.channels = parseU64("-channels", value("-channels="));
-            if (opt.channels < 1 || opt.channels > 64)
-                esd_fatal("-channels: %llu out of range [1, 64]",
-                          static_cast<unsigned long long>(opt.channels));
+            opt.channels =
+                parseU64In("-channels", value("-channels="), 1, 64);
         } else if (arg.rfind("-wpq-depth=", 0) == 0) {
-            opt.wpqDepth = parseU64("-wpq-depth", value("-wpq-depth="));
-            if (opt.wpqDepth > (1u << 16))
-                esd_fatal("-wpq-depth: %llu out of range [0, 65536]",
-                          static_cast<unsigned long long>(opt.wpqDepth));
+            opt.wpqDepth =
+                parseU64In("-wpq-depth", value("-wpq-depth="), 0, 1u << 16);
         } else if (arg.rfind("-wpq-coalescing=", 0) == 0) {
             opt.wpqCoalescing = parseBool("-wpq-coalescing",
                                           value("-wpq-coalescing="))
@@ -406,36 +358,18 @@ parseArgs(int argc, char **argv)
             opt.persistDomain = value("-persist-domain=");
             parsePersistDomain("-persist-domain", opt.persistDomain);
         } else if (arg.rfind("-persist-epoch-writes=", 0) == 0) {
-            opt.persistEpochWrites = parseU64(
-                "-persist-epoch-writes", value("-persist-epoch-writes="));
-            if (opt.persistEpochWrites < 1 ||
-                opt.persistEpochWrites > (1u << 20))
-                esd_fatal("-persist-epoch-writes: %llu out of range "
-                          "[1, %u]",
-                          static_cast<unsigned long long>(
-                              opt.persistEpochWrites),
-                          1u << 20);
+            opt.persistEpochWrites =
+                parseU64In("-persist-epoch-writes",
+                           value("-persist-epoch-writes="), 1, 1u << 20);
         } else if (arg.rfind("-persist-checkpoint-epochs=", 0) == 0) {
             opt.persistCheckpointEpochs =
-                parseU64("-persist-checkpoint-epochs",
-                         value("-persist-checkpoint-epochs="));
-            if (opt.persistCheckpointEpochs < 1 ||
-                opt.persistCheckpointEpochs > (1u << 20))
-                esd_fatal("-persist-checkpoint-epochs: %llu out of range "
-                          "[1, %u]",
-                          static_cast<unsigned long long>(
-                              opt.persistCheckpointEpochs),
-                          1u << 20);
+                parseU64In("-persist-checkpoint-epochs",
+                           value("-persist-checkpoint-epochs="), 1,
+                           1u << 20);
         } else if (arg.rfind("-persist-counter-slack=", 0) == 0) {
             opt.persistCounterSlack =
-                parseU64("-persist-counter-slack",
-                         value("-persist-counter-slack="));
-            if (opt.persistCounterSlack > (1u << 20))
-                esd_fatal("-persist-counter-slack: %llu out of range "
-                          "[0, %u]",
-                          static_cast<unsigned long long>(
-                              opt.persistCounterSlack),
-                          1u << 20);
+                parseU64In("-persist-counter-slack",
+                           value("-persist-counter-slack="), 0, 1u << 20);
         } else if (arg.rfind("-persist-crash-at=", 0) == 0) {
             opt.persistCrashAt = parseU64("-persist-crash-at",
                                           value("-persist-crash-at="));
@@ -675,15 +609,9 @@ main(int argc, char **argv)
     // Exactly one workload source: reject ambiguous combinations up
     // front instead of silently preferring one.
     if (!opt.traceIn.empty() && !opt.app.empty())
-        esd_fatal("-trace-in is incompatible with -app= (the trace is "
-                  "the workload)");
-    if (!opt.traceIn.empty() && !opt.inputFile.empty())
-        esd_fatal("-trace-in is incompatible with -InputFile=");
-    if (!opt.inputFile.empty() && !opt.app.empty())
-        esd_fatal("-InputFile is incompatible with -app= (pick one "
-                  "workload source)");
-    if (opt.traceIn.empty() && opt.inputFile.empty() &&
-        opt.app.empty()) {
+        esd_fatal("%s is incompatible with -app= (the trace is the "
+                  "workload)", opt.traceInFlag.c_str());
+    if (opt.traceIn.empty() && opt.app.empty()) {
         usage();
         esd_fatal("need -InputFile, -app, or -trace-in");
     }
@@ -693,25 +621,16 @@ main(int argc, char **argv)
         esd_fatal("-capture-out requires a synthetic workload (-app=)");
 
     std::unique_ptr<TraceSource> trace;
-    if (!opt.traceIn.empty()) {
+    if (!opt.traceIn.empty())
         trace = std::make_unique<TraceFrontend>(opt.traceIn, cfg.trace);
-    } else if (!opt.inputFile.empty()) {
-        bool binary = opt.inputFile.size() > 4 &&
-                      opt.inputFile.substr(opt.inputFile.size() - 4) ==
-                          ".bin";
-        if (binary)
-            trace = std::make_unique<BinaryTraceReader>(opt.inputFile);
-        else
-            trace = std::make_unique<TextTraceReader>(opt.inputFile);
-    } else {
+    else
         trace =
             std::make_unique<SyntheticWorkload>(findApp(opt.app), opt.seed);
-    }
 
     // Trace files replay to exhaustion with no warmup unless -records /
     // -warmup are given explicitly (replaying a captured run passes the
     // original -warmup to reproduce its stats byte-for-byte).
-    bool file_input = !opt.traceIn.empty() || !opt.inputFile.empty();
+    bool file_input = !opt.traceIn.empty();
     std::uint64_t records =
         !file_input || opt.recordsGiven ? opt.records : 0;
     std::uint64_t warmup =
@@ -756,15 +675,15 @@ main(int argc, char **argv)
 
     Simulator sim(cfg, opt.scheme);
 
-    // Flags layer over the [telemetry] config section.
-    std::uint64_t trace_cap = opt.traceCap != ~0ull
-                                  ? opt.traceCap
-                                  : cfg.telemetry.traceRingCapacity;
-    if (!opt.traceOut.empty() && trace_cap == 0)
-        esd_fatal("-trace-ring must be > 0 when -trace-out= is set");
-    WriteEventTrace events(std::max<std::size_t>(trace_cap, 1));
-    if (!opt.traceOut.empty())
-        sim.setEventTrace(&events);
+    // Flags layer over the [telemetry] config section. The event ring
+    // is allocated only when it is written out.
+    std::unique_ptr<WriteEventTrace> events;
+    if (!opt.traceOut.empty()) {
+        events = std::make_unique<WriteEventTrace>(
+            opt.traceCap != ~0ull ? opt.traceCap
+                                  : cfg.telemetry.traceRingCapacity);
+        sim.setEventTrace(events.get());
+    }
 
     SpanTrace spans(cfg.telemetry.spanBufferCap,
                     opt.spanEvery != ~0ull
@@ -964,9 +883,9 @@ main(int argc, char **argv)
         std::ofstream out(opt.traceOut);
         if (!out)
             esd_fatal("cannot open '%s'", opt.traceOut.c_str());
-        events.writeJsonl(out);
-        std::cout << "wrote " << events.size() << " of "
-                  << events.totalRecorded() << " write events to "
+        events->writeJsonl(out);
+        std::cout << "wrote " << events->size() << " of "
+                  << events->totalRecorded() << " write events to "
                   << opt.traceOut << "\n";
     }
     return 0;

@@ -19,6 +19,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/cli.hh"
 #include "common/config_io.hh"
 #include "common/logging.hh"
 #include "exec/sweep_grid.hh"
@@ -42,13 +43,14 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("-records=", 0) == 0) {
-            records = std::stoull(arg.substr(9));
+            records = parseU64("-records", arg.substr(9));
         } else if (arg.rfind("-warmup=", 0) == 0) {
-            warmup = std::stoull(arg.substr(8));
+            warmup = parseU64("-warmup", arg.substr(8));
         } else if (arg.rfind("-jobs=", 0) == 0) {
-            jobs = static_cast<unsigned>(std::stoul(arg.substr(6)));
+            jobs = static_cast<unsigned>(
+                parseU64In("-jobs", arg.substr(6), 0, kMaxSweepJobs));
         } else if (arg.rfind("-seed=", 0) == 0) {
-            base_seed = std::stoull(arg.substr(6));
+            base_seed = parseU64("-seed", arg.substr(6));
             seed_set = true;
         } else if (arg.rfind("-out=", 0) == 0) {
             out_path = arg.substr(5);

@@ -17,6 +17,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hh"
 #include "common/config_io.hh"
 #include "common/logging.hh"
 #include "trace/trace_capture.hh"
@@ -41,16 +42,6 @@ usage()
         "  -format=F     output encoding (required)\n"
         "  -payload=B    keep write-line payloads (default true);\n"
         "                false emits address-only records\n");
-}
-
-bool
-parseBool(const char *flag, const std::string &v)
-{
-    if (v == "1" || v == "true" || v == "yes" || v == "on")
-        return true;
-    if (v == "0" || v == "false" || v == "no" || v == "off")
-        return false;
-    esd_fatal("%s: '%s' is not a boolean", flag, v.c_str());
 }
 
 } // namespace
