@@ -8,9 +8,10 @@
  * Apps are the 20 paper workloads (default: gcc).
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
+#include "common/cli.hh"
 #include "core/simulator.hh"
 #include "metrics/report.hh"
 #include "trace/workloads.hh"
@@ -21,8 +22,11 @@ main(int argc, char **argv)
     using namespace esd;
 
     std::string app = argc > 1 ? argv[1] : "gcc";
+    // 0 would mean "until the trace ends": never, for a synthetic app.
     std::uint64_t records =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 100000;
+        argc > 2 ? parseU64In("records", argv[2], 1,
+                              std::numeric_limits<std::uint64_t>::max())
+                 : 100000;
 
     SimConfig cfg;  // Table I defaults
     std::cout << cfg.summary() << "\n";

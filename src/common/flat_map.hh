@@ -4,10 +4,13 @@
  *
  * `std::unordered_map` spends every lookup chasing a bucket pointer to
  * a separately allocated node — two dependent cache misses for a
- * 12-byte payload. The simulator's per-write path walks 3-6 such maps
- * (AMT, fingerprint index, refcounts, content store, wear counters,
- * encryption counters), so the node-based layout dominates host time
- * once the compute kernels are vectorised.
+ * 12-byte payload. The simulator's per-write path consults sparse,
+ * logically keyed maps (the AMT, the fingerprint index, the journal
+ * and recovery maps, RAS), so the node-based layout dominated host
+ * time once the compute kernels were vectorised. Maps keyed by
+ * allocator-assigned physical lines (refcounts and fingerprints,
+ * content store, encryption and wear counters) use the direct-indexed
+ * LineTable (common/line_table.hh) instead.
  *
  * `FlatMap` replaces them with open addressing + robin-hood probing:
  *

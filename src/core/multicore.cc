@@ -11,7 +11,7 @@ MultiCoreSimulator::MultiCoreSimulator(const SimConfig &cfg,
                                        SchemeKind kind)
     : cfg_(cfg),
       device_(cfg.pcm, cfg.channels),
-      store_(cfg.pcm.capacityBytes),
+      store_(cfg.pcm.capacityBytes, device_.channelCount()),
       scheme_(makeScheme(kind, cfg, device_, store_))
 {
 }

@@ -14,7 +14,7 @@ namespace esd
 Simulator::Simulator(const SimConfig &cfg, SchemeKind kind)
     : cfg_(cfg),
       device_(cfg.pcm, cfg.channels),
-      store_(cfg.pcm.capacityBytes),
+      store_(cfg.pcm.capacityBytes, device_.channelCount()),
       scheme_(makeScheme(kind, cfg, device_, store_))
 {
     scheme_->registerStats(registry_);

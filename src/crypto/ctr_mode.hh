@@ -19,7 +19,7 @@
 
 #include <cstdint>
 
-#include "common/flat_map.hh"
+#include "common/line_table.hh"
 #include "common/types.hh"
 #include "crypto/aes.hh"
 
@@ -33,7 +33,12 @@ namespace esd
 class CtrModeEngine
 {
   public:
-    explicit CtrModeEngine(const AesKey &key) : aes_(key) {}
+    /** @p channels sets the counter table's channel-major layout (the
+     * device's line interleave); it does not change any pad. */
+    explicit CtrModeEngine(const AesKey &key, unsigned channels = 1)
+        : aes_(key), counters_(channels)
+    {
+    }
 
     /**
      * Encrypt @p plain for @p addr, bumping the line's write counter.
@@ -42,7 +47,7 @@ class CtrModeEngine
     CacheLine
     encrypt(Addr addr, const CacheLine &plain)
     {
-        std::uint64_t ctr = ++counters_[lineAlign(addr)];
+        std::uint64_t ctr = ++counters_[lineIndex(addr)];
         return applyPad(addr, ctr, plain);
     }
 
@@ -53,24 +58,32 @@ class CtrModeEngine
     CacheLine
     decrypt(Addr addr, const CacheLine &cipher) const
     {
-        auto it = counters_.find(lineAlign(addr));
-        std::uint64_t ctr = (it == counters_.end()) ? 0 : it->second;
-        return applyPad(addr, ctr, cipher);
+        return applyPad(addr, counter(addr), cipher);
     }
 
     /** Current write counter of @p addr (0 when never written). */
     std::uint64_t
     counter(Addr addr) const
     {
-        auto it = counters_.find(lineAlign(addr));
-        return it == counters_.end() ? 0 : it->second;
+        const std::uint64_t *ctr = counters_.find(lineIndex(addr));
+        return ctr ? *ctr : 0;
     }
 
-    /** The full per-line counter table. Crash tooling snapshots this
-     * as the ground-truth oracle a recovered counter set is audited
-     * against (a recovered counter below the true value means a pad
-     * would be reused). */
-    const FlatMap<Addr, std::uint64_t> &table() const { return counters_; }
+    /** Visit every (line address, counter) pair in ascending address
+     * order. Crash tooling snapshots this as the ground-truth oracle a
+     * recovered counter set is audited against (a recovered counter
+     * below the true value means a pad would be reused). */
+    template <typename Fn>
+    void
+    forEachCounter(Fn &&fn) const
+    {
+        counters_.forEach([&fn](std::uint64_t line, std::uint64_t ctr) {
+            fn(static_cast<Addr>(line * kLineSize), ctr);
+        });
+    }
+
+    /** Lines with a counter. */
+    std::uint64_t countersTracked() const { return counters_.size(); }
 
     /** Stateless pad application used by both directions. */
     CacheLine
@@ -98,7 +111,7 @@ class CtrModeEngine
 
   private:
     Aes128 aes_;
-    FlatMap<Addr, std::uint64_t> counters_;
+    LineTable<std::uint64_t> counters_;
 };
 
 } // namespace esd

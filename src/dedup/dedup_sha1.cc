@@ -29,17 +29,11 @@ DedupSha1Scheme::registerStats(StatRegistry &reg) const
 }
 
 void
-DedupSha1Scheme::onPhysFreed(Addr phys)
+DedupSha1Scheme::dropFingerprint(Addr phys, std::uint64_t fp)
 {
-    Profiler::Scope ps = profScope(Profiler::Lookup);
-    auto it = physToFp_.find(phys);
-    if (it != physToFp_.end()) {
-        // Lines allocate on their logical address's channel, so the
-        // owning fingerprint shard follows from the physical address.
-        fps_.erase(it->second, channelOf(phys));
-        physToFp_.erase(it);
-        noteJournal(JournalOp::EfitEvict, phys);
-    }
+    // Lines allocate on their logical address's channel, so the owning
+    // fingerprint shard follows from the physical address.
+    fps_.erase(fp, channelOf(phys));
 }
 
 std::uint64_t
@@ -129,7 +123,7 @@ DedupSha1Scheme::write(Addr addr, const CacheLine &data, Tick now)
             {
                 Profiler::Scope ps = profScope(Profiler::Lookup);
                 fps_.insert(fp, phys, fp_store_addr, shard);
-                physToFp_[phys] = fp;
+                lines_.setFingerprint(phys, fp);
             }
             noteJournal(JournalOp::EfitInsert, phys, kInvalidAddr, fp);
             stats_.fpNvmStores.inc();

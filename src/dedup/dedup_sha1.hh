@@ -10,7 +10,6 @@
 #ifndef ESD_DEDUP_DEDUP_SHA1_HH
 #define ESD_DEDUP_DEDUP_SHA1_HH
 
-#include "common/flat_map.hh"
 #include "dedup/fp_table.hh"
 #include "dedup/mapped_scheme.hh"
 
@@ -37,14 +36,13 @@ class DedupSha1Scheme : public MappedDedupScheme
     const FpTable &fpTable() const { return fps_; }
 
   protected:
-    void onPhysFreed(Addr phys) override;
+    void dropFingerprint(Addr phys, std::uint64_t fp) override;
 
   private:
     /** SHA-1 entry: 20 B digest + 5 B packed phys + 1 B refcount. */
     static constexpr std::uint64_t kEntryBytes = 26;
 
     FpTable fps_;
-    FlatMap<Addr, std::uint64_t> physToFp_;
 };
 
 } // namespace esd

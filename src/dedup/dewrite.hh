@@ -19,8 +19,6 @@
 #ifndef ESD_DEDUP_DEWRITE_HH
 #define ESD_DEDUP_DEWRITE_HH
 
-
-#include "common/flat_map.hh"
 #include "dedup/fp_table.hh"
 #include "dedup/mapped_scheme.hh"
 #include "dedup/predictor.hh"
@@ -50,7 +48,7 @@ class DeWriteScheme : public MappedDedupScheme
     const DupPredictor &predictor() const { return predictor_; }
 
   protected:
-    void onPhysFreed(Addr phys) override;
+    void dropFingerprint(Addr phys, std::uint64_t fp) override;
 
   private:
     /** The duplicate-or-not resolution common to both predicted paths:
@@ -77,7 +75,6 @@ class DeWriteScheme : public MappedDedupScheme
 
     FpTable fps_;
     DupPredictor predictor_;
-    FlatMap<Addr, std::uint64_t> physToFp_;
 };
 
 } // namespace esd

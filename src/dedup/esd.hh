@@ -23,8 +23,6 @@
 #ifndef ESD_DEDUP_ESD_HH
 #define ESD_DEDUP_ESD_HH
 
-
-#include "common/flat_map.hh"
 #include "dedup/efit.hh"
 #include "dedup/mapped_scheme.hh"
 
@@ -54,10 +52,9 @@ class EsdScheme : public MappedDedupScheme
     const Efit &efit() const { return efit_; }
 
   protected:
-    void onPhysFreed(Addr phys) override;
+    void dropFingerprint(Addr phys, std::uint64_t fp) override;
 
     Efit efit_;
-    FlatMap<Addr, LineEcc> physToEcc_;
 };
 
 } // namespace esd

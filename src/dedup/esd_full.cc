@@ -27,17 +27,11 @@ EsdFullScheme::registerStats(StatRegistry &reg) const
 }
 
 void
-EsdFullScheme::onPhysFreed(Addr phys)
+EsdFullScheme::dropFingerprint(Addr phys, std::uint64_t fp)
 {
-    Profiler::Scope ps = profScope(Profiler::Lookup);
-    auto it = physToFp_.find(phys);
-    if (it != physToFp_.end()) {
-        // Lines allocate on their logical address's channel, so the
-        // owning fingerprint shard follows from the physical address.
-        fps_.erase(it->second, channelOf(phys));
-        physToFp_.erase(it);
-        noteJournal(JournalOp::EfitEvict, phys);
-    }
+    // Lines allocate on their logical address's channel, so the owning
+    // fingerprint shard follows from the physical address.
+    fps_.erase(fp, channelOf(phys));
 }
 
 std::uint64_t
@@ -135,7 +129,7 @@ EsdFullScheme::write(Addr addr, const CacheLine &data, Tick now)
             {
                 Profiler::Scope ps = profScope(Profiler::Lookup);
                 fps_.insert(ecc, phys, fp_store, shard);
-                physToFp_[phys] = ecc;
+                lines_.setFingerprint(phys, ecc);
             }
             noteJournal(JournalOp::EfitInsert, phys, kInvalidAddr, ecc);
             stats_.fpNvmStores.inc();

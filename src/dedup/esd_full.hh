@@ -14,8 +14,6 @@
 #ifndef ESD_DEDUP_ESD_FULL_HH
 #define ESD_DEDUP_ESD_FULL_HH
 
-
-#include "common/flat_map.hh"
 #include "dedup/fp_table.hh"
 #include "dedup/mapped_scheme.hh"
 
@@ -42,14 +40,13 @@ class EsdFullScheme : public MappedDedupScheme
     const FpTable &fpTable() const { return fps_; }
 
   protected:
-    void onPhysFreed(Addr phys) override;
+    void dropFingerprint(Addr phys, std::uint64_t fp) override;
 
   private:
     /** ECC fp (8 B) + packed phys (5 B) + refcount (1 B). */
     static constexpr std::uint64_t kEntryBytes = 14;
 
     FpTable fps_;
-    FlatMap<Addr, std::uint64_t> physToFp_;
 };
 
 } // namespace esd

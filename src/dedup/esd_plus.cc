@@ -67,10 +67,10 @@ EsdPlusScheme::eraseContent(Addr phys)
 }
 
 void
-EsdPlusScheme::onPhysFreed(Addr phys)
+EsdPlusScheme::onPhysFreed(Addr phys, std::optional<std::uint64_t> fp)
 {
     eraseContent(phys);
-    EsdScheme::onPhysFreed(phys);
+    EsdScheme::onPhysFreed(phys, fp);
 }
 
 AccessResult
@@ -180,12 +180,12 @@ EsdPlusScheme::write(Addr addr, const CacheLine &data, Tick now)
             if (saturated_rewrite) {
                 noteJournal(JournalOp::EfitEvict, entry->phys.toAddr());
                 efit_.redirect(entry, phys);
-                physToEcc_[phys] = ecc;
+                lines_.setFingerprint(phys, ecc);
                 noteJournal(JournalOp::EfitInsert, phys, kInvalidAddr,
                             ecc);
             } else if (!suspended) {
                 efit_.insert(ecc, phys, shard);
-                physToEcc_[phys] = ecc;
+                lines_.setFingerprint(phys, ecc);
                 noteJournal(JournalOp::EfitInsert, phys, kInvalidAddr,
                             ecc);
             }

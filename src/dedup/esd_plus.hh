@@ -47,7 +47,8 @@ class EsdPlusScheme : public EsdScheme
     std::uint64_t contentCacheSize() const { return lru_.size(); }
 
   protected:
-    void onPhysFreed(Addr phys) override;
+    void onPhysFreed(Addr phys,
+                     std::optional<std::uint64_t> fp) override;
 
   private:
     struct CachedLine

@@ -7,14 +7,21 @@
  * that relationship — allocating physical line addresses (bump pointer
  * plus free list), counting references, and releasing content back to
  * the NvmStore when the last reference dies.
+ *
+ * Each allocated line has one record in a direct-indexed LineTable:
+ * its reference count and the fingerprint (ECC or hash) the scheme
+ * registered for it, so releasing a line touches one record. A line is
+ * "allocated" while its record exists — with 0 references between
+ * allocate() and the first addRef() — and "free" once it is erased.
  */
 
 #ifndef ESD_DEDUP_LINE_STORE_HH
 #define ESD_DEDUP_LINE_STORE_HH
 
+#include <optional>
 #include <vector>
 
-#include "common/flat_map.hh"
+#include "common/line_table.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "nvm/nvm_store.hh"
@@ -33,7 +40,8 @@ class LineStore
 {
   public:
     explicit LineStore(NvmStore &store, unsigned shards = 1)
-        : store_(store), shards_(shards), bump_(shards), free_(shards)
+        : store_(store), shards_(shards), recs_(shards), bump_(shards),
+          free_(shards)
     {
         esd_assert(shards_ > 0, "line store needs at least one shard");
     }
@@ -54,7 +62,7 @@ class LineStore
             esd_assert(lineIndex(phys) < store_.capacityLines(),
                        "physical line space exhausted");
         }
-        refs_[phys] = 0;
+        recs_[lineIndex(phys)] = Record{};
         return phys;
     }
 
@@ -69,25 +77,32 @@ class LineStore
     void
     addRef(Addr phys)
     {
-        auto it = refs_.find(lineAlign(phys));
-        esd_assert(it != refs_.end(), "addRef on unallocated line");
-        ++it->second;
+        Record *r = recs_.find(lineIndex(phys));
+        esd_assert(r != nullptr, "addRef on unallocated line");
+        ++r->refs;
     }
 
     /**
      * Drop one reference.
+     * @param fp_out when given, receives a dying line's fingerprint
+     *               (nullopt when none was registered or the line
+     *               survives)
      * @return true when the line died (content erased, address freed —
      *         or, under deferred reclamation, queued to be).
      */
     bool
-    release(Addr phys)
+    release(Addr phys, std::optional<std::uint64_t> *fp_out = nullptr)
     {
         phys = lineAlign(phys);
-        auto it = refs_.find(phys);
-        esd_assert(it != refs_.end(), "release on unallocated line");
-        esd_assert(it->second > 0, "refcount underflow");
-        if (--it->second == 0) {
-            refs_.erase(it);
+        Record *r = recs_.find(lineIndex(phys));
+        esd_assert(r != nullptr, "release on unallocated line");
+        esd_assert(r->refs > 0, "refcount underflow");
+        if (fp_out)
+            fp_out->reset();
+        if (--r->refs == 0) {
+            if (fp_out && r->hasFp)
+                *fp_out = r->fp;
+            recs_.erase(lineIndex(phys));
             if (deferred_) {
                 pendingFree_.push_back(phys);
             } else {
@@ -130,29 +145,63 @@ class LineStore
     std::uint32_t
     refCount(Addr phys) const
     {
-        auto it = refs_.find(lineAlign(phys));
-        return it == refs_.end() ? 0 : it->second;
+        const Record *r = recs_.find(lineIndex(phys));
+        return r ? r->refs : 0;
     }
 
     bool
     isLive(Addr phys) const
     {
-        return refs_.count(lineAlign(phys)) != 0;
+        return recs_.contains(lineIndex(phys));
+    }
+
+    /** Register @p fp as the fingerprint of allocated line @p phys. */
+    void
+    setFingerprint(Addr phys, std::uint64_t fp)
+    {
+        Record *r = recs_.find(lineIndex(phys));
+        esd_assert(r != nullptr, "fingerprint for unallocated line");
+        r->fp = fp;
+        r->hasFp = true;
+    }
+
+    /** Unregister and return @p phys 's fingerprint (nullopt when the
+     * line is free or has none). */
+    std::optional<std::uint64_t>
+    takeFingerprint(Addr phys)
+    {
+        Record *r = recs_.find(lineIndex(phys));
+        if (!r || !r->hasFp)
+            return std::nullopt;
+        r->hasFp = false;
+        return r->fp;
     }
 
     /** Live unique physical lines. */
-    std::uint64_t liveLines() const { return refs_.size(); }
+    std::uint64_t liveLines() const { return recs_.size(); }
 
-    /** All live (phys, refcount) pairs — for the Fig. 3 analysis. */
-    const FlatMap<Addr, std::uint32_t> &refTable() const
+    /** Visit every live (phys, refcount) pair in ascending address
+     * order — for the Fig. 3 analysis and the differential tests. */
+    template <typename Fn>
+    void
+    forEachLive(Fn &&fn) const
     {
-        return refs_;
+        recs_.forEach([&fn](std::uint64_t line, const Record &r) {
+            fn(static_cast<Addr>(line * kLineSize), r.refs);
+        });
     }
 
   private:
+    struct Record
+    {
+        std::uint64_t fp = 0;
+        std::uint32_t refs = 0;
+        bool hasFp = false;
+    };
+
     NvmStore &store_;
     unsigned shards_;
-    FlatMap<Addr, std::uint32_t> refs_;
+    LineTable<Record> recs_;
     std::vector<std::uint64_t> bump_;           ///< per-shard bump pointer
     std::vector<std::vector<Addr>> free_;       ///< per-shard free lists
     std::vector<Addr> pendingFree_;             ///< dead, awaiting commit

@@ -23,7 +23,9 @@ MappedDedupScheme::MappedDedupScheme(const SimConfig &cfg,
     hooks.refCountOf = [this](Addr phys) {
         return static_cast<std::uint64_t>(lines_.refCount(phys));
     };
-    hooks.onRetire = [this](Addr phys) { onPhysFreed(phys); };
+    hooks.onRetire = [this](Addr phys) {
+        onPhysFreed(phys, lines_.takeFingerprint(phys));
+    };
     ras_.setHooks(std::move(hooks));
 }
 
@@ -41,6 +43,16 @@ MappedDedupScheme::setPersistence(PersistenceManager *pm)
     lines_.setDeferredReclaim(pm != nullptr);
     if (pm)
         pm->setEpochCommitHook([this] { lines_.promoteFreed(); });
+}
+
+void
+MappedDedupScheme::onPhysFreed(Addr phys, std::optional<std::uint64_t> fp)
+{
+    if (!fp)
+        return;
+    Profiler::Scope ps = profScope(Profiler::Lookup);
+    dropFingerprint(phys, *fp);
+    noteJournal(JournalOp::EfitEvict, phys);
 }
 
 Tick
@@ -66,19 +78,20 @@ MappedDedupScheme::remap(Addr addr, Addr phys, Tick &t, WriteBreakdown &bd)
     // Order matters: take the new reference before dropping the old
     // one so remapping an address to its current line is a no-op.
     bool freed = false;
+    std::optional<std::uint64_t> dead_fp;
     {
         Profiler::Scope ps = profScope(Profiler::Lookup);
         lines_.addRef(phys);
         noteJournal(JournalOp::RefAdd, phys);
         if (old) {
             bool was_live = lines_.isLive(*old);
-            freed = was_live && lines_.release(*old);
+            freed = was_live && lines_.release(*old, &dead_fp);
             if (was_live)
                 noteJournal(JournalOp::RefRelease, *old);
         }
     }
     if (freed)
-        onPhysFreed(*old);
+        onPhysFreed(*old, dead_fp);
 
     Tick m = metadataAccess();
     t += m;

@@ -9,6 +9,8 @@
 #ifndef ESD_DEDUP_MAPPED_SCHEME_HH
 #define ESD_DEDUP_MAPPED_SCHEME_HH
 
+#include <optional>
+
 #include "dedup/scheme.hh"
 
 namespace esd
@@ -41,9 +43,17 @@ class MappedDedupScheme : public DedupScheme
     const LineStore &lineStore() const { return lines_; }
 
   protected:
-    /** Hook: the physical line @p phys lost its last reference; the
-     * scheme must drop any fingerprint entry referencing it. */
-    virtual void onPhysFreed(Addr phys) = 0;
+    /**
+     * The physical line @p phys lost its last reference or was retired
+     * by RAS; @p fp is the fingerprint it was registered under (see
+     * LineStore::setFingerprint), if any. Drops that fingerprint from
+     * the scheme's index through dropFingerprint() and journals the
+     * eviction.
+     */
+    virtual void onPhysFreed(Addr phys, std::optional<std::uint64_t> fp);
+
+    /** Hook: remove the index entry mapping @p fp to line @p phys. */
+    virtual void dropFingerprint(Addr phys, std::uint64_t fp) = 0;
 
     /**
      * Point @p addr at @p phys: bump the new reference, release the

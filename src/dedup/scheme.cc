@@ -98,7 +98,7 @@ defaultKey(std::uint64_t seed)
 DedupScheme::DedupScheme(const SimConfig &cfg, PcmDevice &device,
                          NvmStore &store)
     : cfg_(cfg), device_(device), store_(store),
-      crypto_(defaultKey(cfg.seed)),
+      crypto_(defaultKey(cfg.seed), device.channelCount()),
       ecc_(eccEngine(cfg.ecc.engine)),
       ras_(cfg.ras, store, device, crypto_, ecc_, cfg.seed)
 {

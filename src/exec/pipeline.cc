@@ -370,7 +370,11 @@ ShardedPipeline::mergeResults() const
         m.uniqueLinesStored += r.uniqueLinesStored;
         m.wear.totalWrites += r.wear.totalWrites;
         m.wear.linesTouched += r.wear.linesTouched;
-        if (r.wear.maxLineWrites > m.wear.maxLineWrites) {
+        // Same rule as WearTracker::stats(): the lowest address wins
+        // among equally hot lines, whichever shard holds it.
+        if (r.wear.maxLineWrites > m.wear.maxLineWrites ||
+            (r.wear.maxLineWrites == m.wear.maxLineWrites &&
+             r.wear.hottestLine < m.wear.hottestLine)) {
             m.wear.maxLineWrites = r.wear.maxLineWrites;
             m.wear.hottestLine = r.wear.hottestLine;
         }

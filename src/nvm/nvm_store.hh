@@ -9,14 +9,13 @@
  * byte comparison reads real bytes back, so an ECC collision between
  * different lines is actually caught.
  *
- * Storage layout: a flat index of address -> slot plus a dense pool of
- * 72-byte StoredLine payloads. Keeping the big payloads out of the
- * hash table keeps its probe sequences inside a few cache lines (the
- * index entry is 12 bytes), and erased slots are recycled LIFO so the
- * pool stays as hot as the working set. Iteration order (patrol-scrub
- * sweeps) comes from the index and therefore depends only on the
- * address operation history, exactly as it did when the payloads lived
- * inline.
+ * Storage layout: a direct-indexed LineTable of line -> slot plus a
+ * dense pool of 72-byte StoredLine payloads. The index entry is 4
+ * bytes, so an index page covers 512 lines in 2 KiB, and erased slots
+ * are recycled LIFO so the pool stays as hot as the working set.
+ * residentAddrs() (the patrol-scrub sweep and the crash image) lists
+ * lines in ascending address order, independent of the operation
+ * history.
  */
 
 #ifndef ESD_NVM_NVM_STORE_HH
@@ -26,7 +25,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/flat_map.hh"
+#include "common/line_table.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "ecc/line_ecc.hh"
@@ -41,12 +40,14 @@ struct StoredLine
     LineEcc ecc = 0;
 };
 
-/** Sparse map of physical line address to resident content. */
+/** Map of physical line address to resident content. */
 class NvmStore
 {
   public:
-    explicit NvmStore(std::uint64_t capacity_bytes)
-        : capacityLines_(capacity_bytes / kLineSize)
+    /** @p channels sets the index's channel-major layout (the device's
+     * line interleave); it does not change what is stored. */
+    explicit NvmStore(std::uint64_t capacity_bytes, unsigned channels = 1)
+        : capacityLines_(capacity_bytes / kLineSize), index_(channels)
     {
     }
 
@@ -56,14 +57,13 @@ class NvmStore
     {
         esd_assert(lineIndex(phys) < capacityLines_,
                    "physical address beyond device capacity");
-        Addr key = lineAlign(phys);
-        auto it = index_.find(key);
-        if (it != index_.end()) {
-            pool_[it->second].data = data;
-            pool_[it->second].ecc = ecc;
+        bool fresh = false;
+        std::uint32_t &slot = *index_.insert(lineIndex(phys), &fresh);
+        if (!fresh) {
+            pool_[slot].data = data;
+            pool_[slot].ecc = ecc;
             return;
         }
-        std::uint32_t slot;
         if (!freeSlots_.empty()) {
             slot = freeSlots_.back();
             freeSlots_.pop_back();
@@ -73,7 +73,6 @@ class NvmStore
             slot = static_cast<std::uint32_t>(pool_.size());
             pool_.push_back(StoredLine{data, ecc});
         }
-        index_.emplace(key, slot);
     }
 
     /**
@@ -85,8 +84,8 @@ class NvmStore
     const StoredLine *
     peek(Addr phys) const
     {
-        auto it = index_.find(lineAlign(phys));
-        return it == index_.end() ? nullptr : &pool_[it->second];
+        const std::uint32_t *slot = index_.find(lineIndex(phys));
+        return slot ? &pool_[*slot] : nullptr;
     }
 
     /** Content at @p phys, or nullopt when never written. */
@@ -103,12 +102,11 @@ class NvmStore
     void
     erase(Addr phys)
     {
-        Addr key = lineAlign(phys);
-        auto it = index_.find(key);
-        if (it == index_.end())
+        const std::uint32_t *slot = index_.find(lineIndex(phys));
+        if (!slot)
             return;
-        freeSlots_.push_back(it->second);
-        index_.erase(key);
+        freeSlots_.push_back(*slot);
+        index_.erase(lineIndex(phys));
     }
 
     /**
@@ -173,19 +171,19 @@ class NvmStore
 
     bool contains(Addr phys) const
     {
-        return index_.count(lineAlign(phys)) != 0;
+        return index_.contains(lineIndex(phys));
     }
 
-    /** Snapshot of every resident line address (patrol-scrub sweep
-     * order source; slot order — deterministic for a given operation
-     * history). */
+    /** Snapshot of every resident line address, ascending (the
+     * patrol-scrub sweep order and the crash image's line order). */
     std::vector<Addr>
     residentAddrs() const
     {
         std::vector<Addr> out;
         out.reserve(index_.size());
-        for (const auto &[addr, slot] : index_)
-            out.push_back(addr);
+        index_.forEach([&out](std::uint64_t line, std::uint32_t) {
+            out.push_back(static_cast<Addr>(line * kLineSize));
+        });
         return out;
     }
 
@@ -198,13 +196,13 @@ class NvmStore
     StoredLine *
     peekMutable(Addr phys)
     {
-        auto it = index_.find(lineAlign(phys));
-        return it == index_.end() ? nullptr : &pool_[it->second];
+        const std::uint32_t *slot = index_.find(lineIndex(phys));
+        return slot ? &pool_[*slot] : nullptr;
     }
 
     std::uint64_t capacityLines_;
-    /** Address -> pool slot; small entries keep probing cache-local. */
-    FlatMap<Addr, std::uint32_t> index_;
+    /** Line index -> pool slot. */
+    LineTable<std::uint32_t> index_;
     /** Dense payload storage addressed by slot. */
     std::vector<StoredLine> pool_;
     /** Recycled slots, reused LIFO. */

@@ -7,7 +7,8 @@ namespace esd
 {
 
 PcmDevice::PcmDevice(const PcmConfig &cfg, const ChannelConfig &channels)
-    : cfg_(cfg), chCfg_(channels)
+    : cfg_(cfg), chCfg_(channels),
+      wear_(channels.count ? channels.count : 1)
 {
     if (cfg_.totalBanks() == 0)
         esd_fatal("PCM device needs at least one bank");

@@ -5,8 +5,8 @@
  * PCM cells survive 10-100 million writes (Section I); reducing and
  * spreading writes is the endurance story behind Fig. 11. The tracker
  * records writes per physical line and summarises wear: totals, the
- * hottest line, and a projected lifetime improvement relative to a
- * reference write load.
+ * hottest line (the lowest address among equally hot lines), and a
+ * projected lifetime improvement relative to a reference write load.
  */
 
 #ifndef ESD_NVM_WEAR_TRACKER_HH
@@ -14,7 +14,7 @@
 
 #include <cstdint>
 
-#include "common/flat_map.hh"
+#include "common/line_table.hh"
 #include "common/types.hh"
 
 namespace esd
@@ -50,6 +50,10 @@ struct WearStats
 class WearTracker
 {
   public:
+    /** @p channels sets the table's channel-major layout (the device's
+     * line interleave); it does not change what is counted. */
+    explicit WearTracker(unsigned channels = 1) : writes_(channels) {}
+
     /** Count one write to the line containing @p addr. */
     void
     recordWrite(Addr addr)
@@ -62,8 +66,8 @@ class WearTracker
     std::uint64_t
     lineWrites(Addr addr) const
     {
-        auto it = writes_.find(lineIndex(addr));
-        return it == writes_.end() ? 0 : it->second;
+        const std::uint64_t *n = writes_.find(lineIndex(addr));
+        return n ? *n : 0;
     }
 
     WearStats
@@ -72,12 +76,13 @@ class WearTracker
         WearStats s;
         s.totalWrites = total_;
         s.linesTouched = writes_.size();
-        for (const auto &[line, count] : writes_) {
+        // Ascending visit + strict '>' keeps the lowest address on ties.
+        writes_.forEach([&s](std::uint64_t line, std::uint64_t count) {
             if (count > s.maxLineWrites) {
                 s.maxLineWrites = count;
                 s.hottestLine = line * kLineSize;
             }
-        }
+        });
         return s;
     }
 
@@ -103,7 +108,7 @@ class WearTracker
     }
 
   private:
-    FlatMap<std::uint64_t, std::uint64_t> writes_;
+    LineTable<std::uint64_t> writes_;
     std::uint64_t total_ = 0;
 };
 

@@ -188,12 +188,15 @@ PersistenceManager::captureImage(CrashPhase phase, Tick tick,
     image_.content.reserve(content.size());
     for (const auto &[a, line] : content)
         image_.content.emplace_back(a, line);
+    std::sort(image_.content.begin(), image_.content.end(),
+              [](const auto &x, const auto &y) { return x.first < y.first; });
 
     image_.trueCounters.clear();
     if (crypto_) {
-        image_.trueCounters.reserve(crypto_->table().size());
-        for (const auto &[a, c] : crypto_->table())
+        image_.trueCounters.reserve(crypto_->countersTracked());
+        crypto_->forEachCounter([this](Addr a, std::uint64_t c) {
             image_.trueCounters.emplace_back(a, c);
+        });
     }
 
     crashed_ = true;

@@ -99,11 +99,12 @@ hexVal(char c)
 }
 
 /**
- * Parse @p tok as a whole unsigned number in @p base (10 or 16) with
- * the grammar std::stoull accepts: leading C-locale whitespace, an
- * optional sign ('-' negates modulo 2^64), and for base 16 an optional
- * 0x/0X prefix. False when any character is left over or the
- * magnitude overflows 64 bits.
+ * Parse @p tok as a whole unsigned number in @p base (10 or 16):
+ * leading C-locale whitespace, then digits, for base 16 after an
+ * optional 0x/0X prefix. A sign is refused — a trace address or icount
+ * is never negative, and "-40" must not wrap to 0xffffffffffffffc0.
+ * False when any character is left over or the magnitude overflows 64
+ * bits.
  */
 bool
 parseUnsigned(std::string_view tok, int base, std::uint64_t &out)
@@ -112,11 +113,6 @@ parseUnsigned(std::string_view tok, int base, std::uint64_t &out)
     while (i < tok.size() && (tok[i] == ' ' || (tok[i] >= '\t' &&
                                                  tok[i] <= '\r')))
         ++i;
-    bool negate = false;
-    if (i < tok.size() && (tok[i] == '+' || tok[i] == '-')) {
-        negate = tok[i] == '-';
-        ++i;
-    }
     if (base == 16 && i + 2 < tok.size() && tok[i] == '0' &&
         (tok[i + 1] == 'x' || tok[i + 1] == 'X') &&
         hexVal(tok[i + 2]) >= 0)
@@ -127,7 +123,7 @@ parseUnsigned(std::string_view tok, int base, std::uint64_t &out)
     auto [end, ec] = std::from_chars(first, last, v, base);
     if (ec != std::errc() || end != last)
         return false;
-    out = negate ? 0 - v : v;
+    out = v;
     return true;
 }
 

@@ -165,8 +165,9 @@ TEST_P(DifferentialTest, EveryReadReturnsLastWrite)
     const NvmStats &ds = dev.stats();
     EXPECT_EQ(ds.writesOffered.value(),
               ds.writes.value() + ds.writesCoalesced.value());
-    if (!dev.coalescingEnabled())
+    if (!dev.coalescingEnabled()) {
         EXPECT_EQ(ds.writesCoalesced.value(), 0u);
+    }
 
     // Scheme-level accounting closes as well.
     const SchemeStats &ss = scheme->stats();
@@ -176,8 +177,8 @@ TEST_P(DifferentialTest, EveryReadReturnsLastWrite)
     // Mapped schemes: refcounts over live lines equal the AMT mappings.
     if (auto *m = dynamic_cast<const MappedDedupScheme *>(scheme.get())) {
         std::uint64_t refs = 0;
-        for (const auto &[phys, n] : m->lineStore().refTable())
-            refs += n;
+        m->lineStore().forEachLive(
+            [&refs](Addr, std::uint32_t n) { refs += n; });
         EXPECT_EQ(refs, m->amt().mappingCount());
     }
 }
@@ -304,8 +305,8 @@ TEST_P(PipelineDifferentialTest, WorkerCountsAgreeWithShadow)
             if (auto *m = dynamic_cast<const MappedDedupScheme *>(
                     &sim.scheme())) {
                 std::uint64_t refs = 0;
-                for (const auto &[phys, n] : m->lineStore().refTable())
-                    refs += n;
+                m->lineStore().forEachLive(
+                    [&refs](Addr, std::uint32_t n) { refs += n; });
                 EXPECT_EQ(refs, m->amt().mappingCount())
                     << schemeName(kind) << " shard " << s;
             }

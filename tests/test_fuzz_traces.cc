@@ -45,10 +45,16 @@ class FuzzTraceTest
     {
         if (auto *m = dynamic_cast<const MappedDedupScheme *>(&scheme)) {
             std::uint64_t refs = 0;
-            for (const auto &[phys, n] : m->lineStore().refTable()) {
+            Addr prev = 0;
+            bool first = true;
+            m->lineStore().forEachLive([&](Addr phys, std::uint32_t n) {
                 EXPECT_GT(n, 0u) << "live line with zero refs";
+                EXPECT_TRUE(first || phys > prev)
+                    << "live lines not visited in ascending order";
+                first = false;
+                prev = phys;
                 refs += n;
-            }
+            });
             EXPECT_EQ(refs, m->amt().mappingCount())
                 << "refcount sum diverged from AMT mappings";
         }
@@ -72,8 +78,9 @@ class FuzzTraceTest
             per_channel += dev.channelStats(c).writes.value() +
                            dev.channelStats(c).coalescedWrites.value();
         EXPECT_EQ(per_channel, s.writesOffered.value());
-        if (!dev.coalescingEnabled())
+        if (!dev.coalescingEnabled()) {
             EXPECT_EQ(s.writesCoalesced.value(), 0u);
+        }
     }
 };
 

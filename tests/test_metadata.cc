@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "common/config.hh"
 #include "dedup/amt.hh"
 #include "dedup/efit.hh"
@@ -78,6 +82,70 @@ TEST(LineStore, FreedAddressIsReused)
     ls.release(a);
     Addr b = ls.allocate();
     EXPECT_EQ(a, b);
+}
+
+TEST(LineStore, AllocatedWithZeroRefsIsDistinctFromFree)
+{
+    NvmStore nvm(1 << 20);
+    LineStore ls(nvm, 4);
+    Addr a = ls.allocate(1);
+    EXPECT_TRUE(ls.isLive(a));  // allocated, 0 refs
+    EXPECT_EQ(ls.refCount(a), 0u);
+    EXPECT_EQ(ls.shardOf(a), 1u);
+    ls.addRef(a);
+    EXPECT_TRUE(ls.release(a));
+    EXPECT_FALSE(ls.isLive(a));  // free
+    EXPECT_EQ(ls.refCount(a), 0u);
+}
+
+TEST(LineStore, FingerprintRidesTheLineRecord)
+{
+    NvmStore nvm(1 << 20);
+    LineStore ls(nvm);
+    Addr a = ls.allocate();
+    Addr b = ls.allocate();
+    ls.setFingerprint(a, 0xfeed);
+    ls.addRef(a);
+    ls.addRef(a);
+    ls.addRef(b);
+
+    // A surviving release hands nothing back; the dying one hands back
+    // the registered fingerprint, and a line without one gives nullopt.
+    std::optional<std::uint64_t> fp = 7;
+    EXPECT_FALSE(ls.release(a, &fp));
+    EXPECT_FALSE(fp.has_value());
+    EXPECT_TRUE(ls.release(a, &fp));
+    EXPECT_EQ(fp, std::optional<std::uint64_t>(0xfeed));
+    EXPECT_TRUE(ls.release(b, &fp));
+    EXPECT_FALSE(fp.has_value());
+
+    // Retirement takes the fingerprint from a live line exactly once; a
+    // reallocated line starts without one.
+    Addr c = ls.allocate();
+    EXPECT_FALSE(ls.takeFingerprint(c).has_value());
+    ls.setFingerprint(c, 0);
+    EXPECT_EQ(ls.takeFingerprint(c), std::optional<std::uint64_t>(0));
+    EXPECT_FALSE(ls.takeFingerprint(c).has_value());
+    EXPECT_FALSE(ls.takeFingerprint(b).has_value());  // free line
+}
+
+TEST(LineStore, ForEachLiveVisitsAscending)
+{
+    NvmStore nvm(1 << 20);
+    LineStore ls(nvm, 8);
+    std::vector<Addr> want;
+    for (unsigned s : {7u, 0u, 3u, 0u, 7u}) {
+        Addr a = ls.allocate(s);
+        ls.addRef(a);
+        want.push_back(a);
+    }
+    std::sort(want.begin(), want.end());
+    std::vector<Addr> got;
+    ls.forEachLive([&got](Addr a, std::uint32_t n) {
+        EXPECT_EQ(n, 1u);
+        got.push_back(a);
+    });
+    EXPECT_EQ(got, want);
 }
 
 // ----------------------------------------------------------------- AMT
@@ -290,8 +358,9 @@ TEST(Efit, DecaySubtractsFixedValue)
         efit.insert(1000 + i, 64 * (i + 1));
     EXPECT_EQ(efit.stats().decayRounds.value(), 1u);
     Efit::Entry *after = efit.lookup(99);
-    if (after)  // may have been evicted depending on set mapping
+    if (after) {  // may have been evicted depending on set mapping
         EXPECT_EQ(after->referH, before - 1);
+    }
 }
 
 TEST(Efit, EraseRemovesMatchingEntryOnly)

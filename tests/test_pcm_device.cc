@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "common/config.hh"
 #include "common/random.hh"
 #include "nvm/nvm_store.hh"
@@ -371,6 +374,31 @@ TEST(NvmStore, EraseRemoves)
     store.erase(0);
     EXPECT_EQ(store.residentLines(), 0u);
     EXPECT_FALSE(store.contains(0));
+}
+
+TEST(NvmStore, ResidentAddrsAscendingWhateverTheHistory)
+{
+    // Random writes, overwrites and erases; the resident list (patrol
+    // sweep and crash-image order) is the sorted set of live lines and
+    // does not depend on the operation order or the channel layout.
+    for (unsigned channels : {1u, 4u, 8u}) {
+        NvmStore store(64ull << 20, channels);
+        std::set<Addr> live;
+        Pcg32 rng(channels);
+        for (int i = 0; i < 20000; ++i) {
+            Addr a = static_cast<Addr>(rng.below(1u << 18)) * kLineSize;
+            if (rng.below(3) == 0) {
+                store.erase(a);
+                live.erase(a);
+            } else {
+                store.write(a, CacheLine{}, 0);
+                live.insert(a);
+            }
+        }
+        std::vector<Addr> want(live.begin(), live.end());
+        EXPECT_EQ(store.residentAddrs(), want) << channels << " channels";
+        EXPECT_EQ(store.residentLines(), want.size());
+    }
 }
 
 TEST(NvmStore, OverwriteReplaces)

@@ -100,6 +100,29 @@ INSTANTIATE_TEST_SUITE_P(
         return n;
     });
 
+/** Patrol scrubbing sweeps NvmStore::residentAddrs(), whose order is
+ * ascending address by rule; with read faults on, the sweep order
+ * feeds the fault RNG, so any history-dependent order would show up
+ * as a byte diff across worker counts. */
+TEST(Pipeline, PatrolScrubIdenticalAcrossWorkerCounts)
+{
+    SimConfig c = pipelineConfig(8);
+    c.ras.enabled = true;
+    c.ras.readBer = 1e-4;
+    c.ras.patrolIntervalWrites = 32;
+    const std::string base = runReport(SchemeKind::Esd, c, 1);
+    ASSERT_NE(base.find("patrol_line_scrubs"), std::string::npos);
+    ASSERT_EQ(base.find("\"ras.patrol_line_scrubs\": 0,"),
+              std::string::npos)
+        << "patrol scrubber never ran";
+    for (unsigned w : {2u, 8u}) {
+        const std::string other = runReport(SchemeKind::Esd, c, w);
+        ASSERT_EQ(base, other)
+            << "workers=" << w << " diverges at "
+            << exec::firstJsonDivergence(base, other);
+    }
+}
+
 /** Randomized barrier arrival delays must be invisible in the bytes:
  * determinism is structural, not a race won by fast hardware. */
 TEST(Pipeline, JitteredBarriersDoNotChangeBytes)

@@ -189,6 +189,27 @@ TEST_P(CaptureReplayIdentity, StatsJsonByteIdentical)
 INSTANTIATE_TEST_SUITE_P(AllSchemes, CaptureReplayIdentity,
                          ::testing::Range(0, 6));
 
+/** Capture -> replay with the patrol scrubber on: the sweep follows
+ * NvmStore::residentAddrs() (ascending address), so replay reproduces
+ * it — and the fault RNG draws it feeds — byte for byte. */
+TEST_F(TraceFrontendTest, PatrolScrubReplayIdentical)
+{
+    SimConfig cfg;
+    cfg.seed = kSeed;
+    cfg.ras.enabled = true;
+    cfg.ras.readBer = 1e-4;
+    cfg.ras.patrolIntervalWrites = 32;
+    std::string path = file("patrol.trace");
+    std::string original =
+        captureRun(cfg, SchemeKind::Esd, path, TraceFormat::Text);
+    ASSERT_EQ(original.find("\"ras.patrol_line_scrubs\": 0,"),
+              std::string::npos)
+        << "patrol scrubber never ran";
+    TraceFrontend replay(path, cfg.trace);
+    EXPECT_EQ(original,
+              renderRun(cfg, SchemeKind::Esd, replay, kRecords, kWarmup));
+}
+
 /** The same identity through each on-disk encoding: the format is a
  * transport, never a semantic. */
 TEST_F(TraceFrontendTest, ReplayIdenticalInEveryFormat)
@@ -533,6 +554,28 @@ TEST_F(TraceIoTest, TextBadHexAddressIsFatal)
     p = writeFile(file("wide.trace"), "R 10000000000000000 10\n");
     EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
                 "bad hex address '10000000000000000'");
+}
+
+TEST_F(TraceFrontendTest, SignedTextFieldsAreFatal)
+{
+    // A sign is refused, never negated: "-40" would otherwise decode
+    // to address 0xffffffffffffffc0.
+    const std::string fixtures =
+        std::string(ESD_SOURCE_DIR) + "/tests/traces/";
+    EXPECT_EXIT(drain(fixtures + "signed_addr.trace"),
+                ::testing::ExitedWithCode(1),
+                ":2: bad hex address '-40'");
+    EXPECT_EXIT(drain(fixtures + "signed_icount.trace"),
+                ::testing::ExitedWithCode(1), ":2: bad icount '\\+10'");
+    for (const char *addr : {"+40", "-0x40", "+0x40"}) {
+        std::string p = writeFile(file("sign.trace"),
+                                  std::string("R ") + addr + " 10\n");
+        EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
+                    "bad hex address");
+    }
+    std::string p = writeFile(file("neg_ic.trace"), "R 40 -1\n");
+    EXPECT_EXIT(drain(p), ::testing::ExitedWithCode(1),
+                "bad icount '-1'");
 }
 
 TEST_F(TraceIoTest, TextTrailingGarbageAddressIsFatal)

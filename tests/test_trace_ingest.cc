@@ -216,8 +216,9 @@ expectSameRecords(const std::vector<TraceRecord> &want,
         EXPECT_EQ(want[i].op, got[i].op) << "record " << i;
         EXPECT_EQ(want[i].addr, got[i].addr) << "record " << i;
         EXPECT_EQ(want[i].icount, got[i].icount) << "record " << i;
-        if (want[i].op == OpType::Write)
+        if (want[i].op == OpType::Write) {
             EXPECT_TRUE(want[i].data == got[i].data) << "record " << i;
+        }
     }
 }
 
