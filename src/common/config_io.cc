@@ -1,5 +1,6 @@
 #include "common/config_io.hh"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -16,6 +17,9 @@ namespace
  * real cache, and the `<< 10` to bytes cannot overflow. */
 constexpr std::uint64_t kMaxCacheKb = 1ull << 24;
 constexpr std::uint64_t kMaxCacheAssoc = 1u << 16;
+/** Upper bound of every `*_latency` key, in ns (about 4.3 s): far
+ * above any device or crypto latency. */
+constexpr std::uint64_t kMaxLatencyNs = UINT32_MAX;
 
 std::string
 trim(const std::string &s)
@@ -221,9 +225,9 @@ applyConfigKey(SimConfig &cfg, const std::string &key,
     if (k == "pcm.capacity_gb") {
         cfg.pcm.capacityBytes = asU64In(k, v, 1, 1u << 20) << 30;
     } else if (k == "pcm.read_latency") {
-        cfg.pcm.readLatency = asU64(k, v);
+        cfg.pcm.readLatency = asU64In(k, v, 0, kMaxLatencyNs);
     } else if (k == "pcm.write_latency") {
-        cfg.pcm.writeLatency = asU64(k, v);
+        cfg.pcm.writeLatency = asU64In(k, v, 0, kMaxLatencyNs);
     } else if (k == "pcm.read_energy_pj") {
         cfg.pcm.readEnergy = asDouble(k, v);
     } else if (k == "pcm.write_energy_pj") {
@@ -242,7 +246,7 @@ applyConfigKey(SimConfig &cfg, const std::string &key,
     } else if (k == "pcm.row_buffer_lines") {
         cfg.pcm.rowBufferLines = asU64In(k, v, 0, 1u << 20);
     } else if (k == "pcm.row_hit_read_latency") {
-        cfg.pcm.rowHitReadLatency = asU64(k, v);
+        cfg.pcm.rowHitReadLatency = asU64In(k, v, 0, kMaxLatencyNs);
     } else if (k == "pcm.read_priority") {
         cfg.pcm.readPriority = asBool(k, v);
     } else if (k == "pcm.start_gap") {
@@ -280,15 +284,15 @@ applyConfigKey(SimConfig &cfg, const std::string &key,
     }
     // Crypto cost model.
     else if (k == "crypto.sha1_latency") {
-        cfg.crypto.sha1Latency = asU64(k, v);
+        cfg.crypto.sha1Latency = asU64In(k, v, 0, kMaxLatencyNs);
     } else if (k == "crypto.md5_latency") {
-        cfg.crypto.md5Latency = asU64(k, v);
+        cfg.crypto.md5Latency = asU64In(k, v, 0, kMaxLatencyNs);
     } else if (k == "crypto.crc_latency") {
-        cfg.crypto.crcLatency = asU64(k, v);
+        cfg.crypto.crcLatency = asU64In(k, v, 0, kMaxLatencyNs);
     } else if (k == "crypto.encrypt_latency") {
-        cfg.crypto.encryptLatency = asU64(k, v);
+        cfg.crypto.encryptLatency = asU64In(k, v, 0, kMaxLatencyNs);
     } else if (k == "crypto.compare_latency") {
-        cfg.crypto.compareLatency = asU64(k, v);
+        cfg.crypto.compareLatency = asU64In(k, v, 0, kMaxLatencyNs);
     }
     // Metadata.
     else if (k == "metadata.efit_kb") {
@@ -296,11 +300,13 @@ applyConfigKey(SimConfig &cfg, const std::string &key,
     } else if (k == "metadata.amt_kb") {
         cfg.metadata.amtCacheBytes = asU64In(k, v, 1, kMaxCacheKb) << 10;
     } else if (k == "metadata.refer_h_max") {
-        cfg.metadata.referHMax = static_cast<std::uint32_t>(asU64(k, v));
+        cfg.metadata.referHMax =
+            static_cast<std::uint32_t>(asU64In(k, v, 0, UINT32_MAX));
     } else if (k == "metadata.decay_period") {
         cfg.metadata.decayPeriod = asU64(k, v);
     } else if (k == "metadata.decay_delta") {
-        cfg.metadata.decayDelta = static_cast<std::uint32_t>(asU64(k, v));
+        cfg.metadata.decayDelta =
+            static_cast<std::uint32_t>(asU64In(k, v, 0, UINT32_MAX));
     } else if (k == "metadata.use_lrcu") {
         cfg.metadata.useLrcu = asBool(k, v);
     }

@@ -4,13 +4,15 @@
  *
  * `std::unordered_map` spends every lookup chasing a bucket pointer to
  * a separately allocated node — two dependent cache misses for a
- * 12-byte payload. The simulator's per-write path consults sparse,
- * logically keyed maps (the AMT, the fingerprint index, the journal
- * and recovery maps, RAS), so the node-based layout dominated host
- * time once the compute kernels were vectorised. Maps keyed by
- * allocator-assigned physical lines (refcounts and fingerprints,
- * content store, encryption and wear counters) use the direct-indexed
- * LineTable (common/line_table.hh) instead.
+ * 12-byte payload. The simulator consults maps keyed by hashes or by
+ * sparse addresses (the fingerprint index, the recovered-state and
+ * crash-image maps, the ESD+ content-cache index, RAS remaps and
+ * stuck-at sets, the WPQ pending set), so the node-based layout
+ * dominated host time once the compute kernels were vectorised. Maps
+ * keyed by line index (refcounts and fingerprints, content store,
+ * encryption and wear counters, the AMT, the checkpoint images) use
+ * the direct-indexed LineTable (common/line_table.hh) instead, which
+ * keeps a FlatMap only as its overflow for lines beyond its pages.
  *
  * `FlatMap` replaces them with open addressing + robin-hood probing:
  *

@@ -6,8 +6,11 @@
  * LineStore hands physical lines out from a per-channel bump pointer
  * plus a LIFO free list, so the addresses every phys-keyed structure
  * sees (refcounts, fingerprints, the content-store index, encryption
- * counters, wear counters) are dense within each channel. A hash probe
- * per lookup is then wasted work: `LineTable` splits a line index into
+ * counters, wear counters, the checkpoint's refcount, fingerprint and
+ * counter images) are dense within each channel, and so are the
+ * logical lines of a workload's working set that the AMT and the
+ * checkpoint's AMT image map. A hash probe per lookup is then wasted
+ * work: `LineTable` splits a line index into
  * (channel, slot) channel-major — `ch = line % channels`,
  * `slot = line / channels` — and indexes a per-channel page directory
  * with `slot`, so a lookup is a division, a mask and two loads.
@@ -31,6 +34,7 @@
  *     does not depend on the operation history.
  *
  * Erased entries keep their page; pages are dropped only by clear().
+ * A copy is deep: it owns its own pages and overflow.
  */
 
 #ifndef ESD_COMMON_LINE_TABLE_HH
@@ -71,6 +75,32 @@ class LineTable
     {
         esd_assert(channels_ > 0, "line table needs at least one channel");
     }
+
+    LineTable(const LineTable &o)
+        : channels_(o.channels_), dirs_(o.channels_),
+          overflow_(o.overflow_), size_(o.size_)
+    {
+        for (unsigned ch = 0; ch < channels_; ++ch) {
+            const Dir &from = o.dirs_[ch];
+            Dir &to = dirs_[ch];
+            to.paged = from.paged;
+            to.pages.resize(from.pages.size());
+            for (std::size_t pg = 0; pg < from.pages.size(); ++pg)
+                if (from.pages[pg])
+                    to.pages[pg] = std::make_unique<Page>(*from.pages[pg]);
+        }
+    }
+
+    LineTable &
+    operator=(const LineTable &o)
+    {
+        if (this != &o)
+            *this = LineTable(o);
+        return *this;
+    }
+
+    LineTable(LineTable &&) = default;
+    LineTable &operator=(LineTable &&) = default;
 
     std::uint64_t size() const { return size_; }
     bool empty() const { return size_ == 0; }

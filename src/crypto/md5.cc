@@ -112,16 +112,16 @@ Md5Digest
 Md5::finish()
 {
     std::uint64_t bit_len = totalLen_ * 8;
-    std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    std::uint8_t zero = 0;
-    while (bufLen_ != 56)
-        update(&zero, 1);
+    buf_[bufLen_++] = 0x80;
+    if (bufLen_ > 56) {
+        std::memset(buf_ + bufLen_, 0, 64 - bufLen_);
+        processBlock(buf_);
+        bufLen_ = 0;
+    }
+    std::memset(buf_ + bufLen_, 0, 56 - bufLen_);
     // Little-endian length.
-    std::uint8_t len_le[8];
     for (int i = 0; i < 8; ++i)
-        len_le[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-    std::memcpy(buf_ + bufLen_, len_le, 8);
+        buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
     processBlock(buf_);
     bufLen_ = 0;
 
@@ -146,11 +146,20 @@ Md5::digest(const void *data, std::size_t len)
 std::uint64_t
 Md5::fingerprint64(const CacheLine &line)
 {
-    Md5Digest d = digestLine(line);
-    std::uint64_t fp = 0;
-    for (int i = 0; i < 8; ++i)
-        fp = (fp << 8) | d[i];
-    return fp;
+    // One block of data plus the constant padding block: 0x80, zeros,
+    // and the 512-bit message length (little-endian).
+    static_assert(kLineSize == 64, "fingerprint64 hashes one block");
+    static constexpr std::uint8_t kPad[64] = {
+        0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0,    0, 0, 0, 0, 0, 0, 0, 0x00, 0x02, 0, 0, 0, 0, 0, 0};
+    Md5 m;
+    m.processBlock(line.data());
+    m.processBlock(kPad);
+    // Digest bytes are h_[0], h_[1] little-endian; read them big-endian.
+    return (static_cast<std::uint64_t>(__builtin_bswap32(m.h_[0])) << 32) |
+           __builtin_bswap32(m.h_[1]);
 }
 
 std::string

@@ -39,7 +39,9 @@ class Md5
         return digest(line.data(), kLineSize);
     }
 
-    /** First 64 bits of the line digest as an index key. */
+    /** First 64 bits of the line digest as an index key: the line as
+     * one block, then the constant padding block; digestLine() is its
+     * oracle. */
     static std::uint64_t fingerprint64(const CacheLine &line);
 
     static std::string toHex(const Md5Digest &d);

@@ -303,16 +303,15 @@ Sha1Digest
 Sha1::finish()
 {
     std::uint64_t bit_len = totalLen_ * 8;
-    std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    std::uint8_t zero = 0;
-    while (bufLen_ != 56)
-        update(&zero, 1);
-    std::uint8_t len_be[8];
+    buf_[bufLen_++] = 0x80;
+    if (bufLen_ > 56) {
+        std::memset(buf_ + bufLen_, 0, 64 - bufLen_);
+        processBlock(buf_);
+        bufLen_ = 0;
+    }
+    std::memset(buf_ + bufLen_, 0, 56 - bufLen_);
     for (int i = 0; i < 8; ++i)
-        len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    // Bypass totalLen_ accounting for the length field itself.
-    std::memcpy(buf_ + bufLen_, len_be, 8);
+        buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
     processBlock(buf_);
     bufLen_ = 0;
 
@@ -337,11 +336,18 @@ Sha1::digest(const void *data, std::size_t len)
 std::uint64_t
 Sha1::fingerprint64(const CacheLine &line)
 {
-    Sha1Digest d = digestLine(line);
-    std::uint64_t fp = 0;
-    for (int i = 0; i < 8; ++i)
-        fp = (fp << 8) | d[i];
-    return fp;
+    // A line is exactly one block, so its padding is a constant second
+    // block: 0x80, zeros, and the 512-bit message length (big-endian).
+    static_assert(kLineSize == 64, "fingerprint64 hashes one block");
+    static constexpr std::uint8_t kPad[64] = {
+        0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x02, 0x00};
+    Sha1 s;
+    s.processBlock(line.data());
+    s.processBlock(kPad);
+    return (static_cast<std::uint64_t>(s.h_[0]) << 32) | s.h_[1];
 }
 
 std::string

@@ -49,7 +49,9 @@ class Sha1
     }
 
     /** First 64 bits of the line digest — the index key used by the
-     * Dedup_SHA1 fingerprint tables. */
+     * Dedup_SHA1 fingerprint tables. Compresses the line as one block
+     * and then the constant padding block; digestLine() (the streaming
+     * path) is its oracle. */
     static std::uint64_t fingerprint64(const CacheLine &line);
 
     /** Lowercase hex rendering of a digest. */

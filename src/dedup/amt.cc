@@ -29,7 +29,7 @@ Amt::registerStats(StatRegistry &reg, const std::string &prefix) const
 Amt::Amt(const MetadataConfig &cfg, Addr nvm_base, unsigned shards)
     : cfg_(cfg), nvmBase_(nvm_base),
       entriesPerBlock_(kLineSize / cfg.amtEntryBytes), shards_(shards),
-      assoc_(cfg.amtAssoc)
+      assoc_(cfg.amtAssoc), map_(shards == 0 ? 1 : shards)  // 0: fatal below
 {
     esd_assert(entriesPerBlock_ > 0, "AMT entry larger than a line");
     if (shards_ == 0)
@@ -102,10 +102,9 @@ Amt::lookup(Addr logical)
     stats_.lookups.inc();
 
     auto resolve = [&]() {
-        auto it = map_.find(line);
-        if (it != map_.end()) {
+        if (const PackedPhys *p = map_.find(line)) {
             res.found = true;
-            res.phys = it->second.toAddr();
+            res.phys = p->toAddr();
         }
     };
 
@@ -155,10 +154,10 @@ Amt::update(Addr logical, Addr phys)
 std::optional<Addr>
 Amt::peek(Addr logical) const
 {
-    auto it = map_.find(lineIndex(logical));
-    if (it == map_.end())
+    const PackedPhys *p = map_.find(lineIndex(logical));
+    if (!p)
         return std::nullopt;
-    return it->second.toAddr();
+    return p->toAddr();
 }
 
 } // namespace esd

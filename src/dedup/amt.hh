@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/flat_map.hh"
+#include "common/line_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -122,7 +122,9 @@ class Amt
      *                  shard is derived internally from the entry
      *                  block with the same mod-N interleave the device
      *                  uses; one shard (default) is the unsharded
-     *                  cache.
+     *                  cache. It is also the mapping table's
+     *                  channel-major layout; it does not change what
+     *                  is mapped.
      */
     Amt(const MetadataConfig &cfg, Addr nvm_base, unsigned shards = 1);
 
@@ -219,8 +221,9 @@ class Amt
     std::uint64_t useClock_ = 0;
     std::vector<Way> ways_;
 
-    /** The authoritative NVMM-resident table (functional model). */
-    FlatMap<std::uint64_t, PackedPhys> map_;
+    /** The authoritative NVMM-resident table (functional model),
+     * keyed by logical line index. */
+    LineTable<PackedPhys> map_;
 
     AmtStats stats_;
 };

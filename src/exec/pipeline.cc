@@ -1,5 +1,6 @@
 #include "exec/pipeline.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -370,14 +371,8 @@ ShardedPipeline::mergeResults() const
         m.uniqueLinesStored += r.uniqueLinesStored;
         m.wear.totalWrites += r.wear.totalWrites;
         m.wear.linesTouched += r.wear.linesTouched;
-        // Same rule as WearTracker::stats(): the lowest address wins
-        // among equally hot lines, whichever shard holds it.
-        if (r.wear.maxLineWrites > m.wear.maxLineWrites ||
-            (r.wear.maxLineWrites == m.wear.maxLineWrites &&
-             r.wear.hottestLine < m.wear.hottestLine)) {
-            m.wear.maxLineWrites = r.wear.maxLineWrites;
-            m.wear.hottestLine = r.wear.hottestLine;
-        }
+        m.wear.maxLineWrites =
+            std::max(m.wear.maxLineWrites, r.wear.maxLineWrites);
     }
 
     double cycles = m.runtimeNs * cfg_.core.clockGhz;

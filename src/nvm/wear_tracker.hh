@@ -5,13 +5,14 @@
  * PCM cells survive 10-100 million writes (Section I); reducing and
  * spreading writes is the endurance story behind Fig. 11. The tracker
  * records writes per physical line and summarises wear: totals, the
- * hottest line (the lowest address among equally hot lines), and a
- * projected lifetime improvement relative to a reference write load.
+ * hottest line's write count, and a projected lifetime improvement
+ * relative to a reference write load.
  */
 
 #ifndef ESD_NVM_WEAR_TRACKER_HH
 #define ESD_NVM_WEAR_TRACKER_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/line_table.hh"
@@ -26,7 +27,6 @@ struct WearStats
     std::uint64_t totalWrites = 0;
     std::uint64_t linesTouched = 0;
     std::uint64_t maxLineWrites = 0;
-    Addr hottestLine = kInvalidAddr;
 
     /** Mean writes over touched lines. */
     double
@@ -58,7 +58,7 @@ class WearTracker
     void
     recordWrite(Addr addr)
     {
-        ++writes_[lineIndex(addr)];
+        maxLineWrites_ = std::max(maxLineWrites_, ++writes_[lineIndex(addr)]);
         ++total_;
     }
 
@@ -76,13 +76,7 @@ class WearTracker
         WearStats s;
         s.totalWrites = total_;
         s.linesTouched = writes_.size();
-        // Ascending visit + strict '>' keeps the lowest address on ties.
-        writes_.forEach([&s](std::uint64_t line, std::uint64_t count) {
-            if (count > s.maxLineWrites) {
-                s.maxLineWrites = count;
-                s.hottestLine = line * kLineSize;
-            }
-        });
+        s.maxLineWrites = maxLineWrites_;
         return s;
     }
 
@@ -105,11 +99,13 @@ class WearTracker
     {
         writes_.clear();
         total_ = 0;
+        maxLineWrites_ = 0;
     }
 
   private:
     LineTable<std::uint64_t> writes_;
     std::uint64_t total_ = 0;
+    std::uint64_t maxLineWrites_ = 0;
 };
 
 } // namespace esd

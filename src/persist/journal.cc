@@ -24,36 +24,37 @@ journalOpName(JournalOp op)
 void
 applyRecord(CheckpointState &st, const JournalRecord &r)
 {
+    const std::uint64_t line = lineIndex(r.a);
     switch (r.op) {
       case JournalOp::AmtUpdate:
         if (r.b == kInvalidAddr)
-            st.amt.erase(r.a);
+            st.amt.erase(line);
         else
-            st.amt[r.a] = r.b;
+            st.amt[line] = r.b;
         break;
       case JournalOp::RefAdd:
-        ++st.refs[r.a];
+        ++st.refs[line];
         break;
       case JournalOp::RefRelease: {
-        auto it = st.refs.find(r.a);
-        if (it == st.refs.end()) {
+        std::uint32_t *n = st.refs.find(line);
+        if (!n) {
             // A release whose matching add predates the checkpoint
             // horizon of a torn group; recovery's AMT reconciliation
             // re-derives the true count.
             break;
         }
-        if (--it->second == 0)
-            st.refs.erase(r.a);
+        if (--*n == 0)
+            st.refs.erase(line);
         break;
       }
       case JournalOp::EfitInsert:
-        st.fp[r.a] = r.value;
+        st.fp[line] = r.value;
         break;
       case JournalOp::EfitEvict:
-        st.fp.erase(r.a);
+        st.fp.erase(line);
         break;
       case JournalOp::CtrBump:
-        st.ctr[r.a] = r.value;
+        st.ctr[line] = r.value;
         break;
       case JournalOp::LineRetire:
         st.retired.insert(r.a);

@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "common/flat_map.hh"
+#include "common/line_table.hh"
 #include "common/types.hh"
 
 namespace esd
@@ -59,21 +60,29 @@ struct JournalRecord
 
 /**
  * The durable table images a checkpoint holds — also the accumulator
- * recovery replays the journal into.
+ * recovery replays the journal into. The per-line images are keyed by
+ * line index (record addresses are line-aligned) and laid out
+ * channel-major over the device's channels, like the tables they
+ * mirror.
  */
 struct CheckpointState
 {
-    /** Logical line -> physical line (AMT image). */
-    FlatMap<Addr, Addr> amt;
+    explicit CheckpointState(unsigned channels = 1)
+        : amt(channels), refs(channels), fp(channels), ctr(channels)
+    {
+    }
+
+    /** Logical line -> physical line address (AMT image). */
+    LineTable<Addr> amt;
 
     /** Physical line -> reference count. */
-    FlatMap<Addr, std::uint32_t> refs;
+    LineTable<std::uint32_t> refs;
 
     /** Physical line -> fingerprint key (surviving EFIT/FP entries). */
-    FlatMap<Addr, std::uint64_t> fp;
+    LineTable<std::uint64_t> fp;
 
-    /** Counter addr -> last journaled encryption counter. */
-    FlatMap<Addr, std::uint64_t> ctr;
+    /** Counter line -> last journaled encryption counter. */
+    LineTable<std::uint64_t> ctr;
 
     /** Physical lines retired to the spare region. */
     FlatSet<Addr> retired;

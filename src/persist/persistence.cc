@@ -11,7 +11,7 @@ PersistenceManager::PersistenceManager(const PersistenceConfig &cfg,
                                        PcmDevice &device, NvmStore &store,
                                        std::uint64_t seed)
     : cfg_(cfg), device_(device), store_(store),
-      rng_(seed, 0x7e57ab1ecab1e5ull)
+      rng_(seed, 0x7e57ab1ecab1e5ull), checkpoint_(device.channelCount())
 {
     // The undo log exists only to build ADR crash images; without an
     // armed crash (or under eADR, where queued writes survive) it

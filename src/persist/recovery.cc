@@ -71,8 +71,8 @@ recoverFromImage(const CrashImage &img, const PersistenceConfig &cfg,
     // 2. Counter recovery over every surviving line.
     FlatSet<Addr> live;
     for (const auto &[addr, line] : img.content) {
-        auto it = st.ctr.find(addr);
-        std::uint64_t j = it == st.ctr.end() ? 0 : it->second;
+        const std::uint64_t *jc = st.ctr.find(lineIndex(addr));
+        std::uint64_t j = jc ? *jc : 0;
         std::uint64_t probes = 0;
         std::uint64_t found = probeCounter(crypto, ecc, addr, line, j, slack,
                                            cfg.counterProbeMax, probes);
@@ -93,41 +93,47 @@ recoverFromImage(const CrashImage &img, const PersistenceConfig &cfg,
     // Counters the journal named but whose line is gone (released or
     // reverted): the monotonic floor must survive so the address can
     // never restart low.
-    for (const auto &[addr, j] : st.ctr)
+    st.ctr.forEach([&](std::uint64_t line, std::uint64_t j) {
+        Addr addr = line * kLineSize;
         if (!out.ctrNext.count(addr))
             out.ctrNext[addr] = j + slack;
+    });
 
     s.liveLines = live.size();
 
     // 3. AMT reconciliation: drop mappings to dead or retired lines,
     // then re-derive refcounts from what survived (the AMT is the
     // authority — torn groups can strand an add without its update).
-    for (const auto &[logical, phys] : st.amt) {
+    // The outputs below are counts and keyed maps, so the visit order
+    // of the checkpoint tables does not matter.
+    st.amt.forEach([&](std::uint64_t line, Addr phys) {
         if (live.count(phys) != 0 && st.retired.count(phys) == 0) {
-            out.amt[logical] = phys;
+            out.amt[line * kLineSize] = phys;
             ++out.refs[phys];
         } else {
             ++s.mappingsInvalidated;
         }
-    }
+    });
     for (const auto &[phys, n] : out.refs) {
-        auto it = st.refs.find(phys);
-        if (it == st.refs.end() || it->second != n)
+        const std::uint32_t *had = st.refs.find(lineIndex(phys));
+        if (!had || *had != n)
             ++s.refcountsRepaired;
     }
-    for (const auto &[phys, n] : st.refs)
-        if (out.refs.count(phys) == 0)
+    st.refs.forEach([&](std::uint64_t line, std::uint32_t) {
+        if (out.refs.count(line * kLineSize) == 0)
             ++s.refcountsRepaired;
+    });
 
     // 4. Fingerprint pruning: an entry may only survive while its
     // physical line carries live references — anything else could
     // fake a dedup hit against dead content.
-    for (const auto &[phys, key] : st.fp) {
+    st.fp.forEach([&](std::uint64_t line, std::uint64_t key) {
+        Addr phys = line * kLineSize;
         if (out.refs.count(phys) != 0)
             out.fp[phys] = key;
         else
             ++s.dedupHitsInvalidated;
-    }
+    });
 
     // Orphans: decryptable lines no mapping reaches (leaked space a
     // background sweep would reclaim). In-place schemes address lines

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "common/config_io.hh"
 #include "common/logging.hh"
@@ -197,6 +198,28 @@ TEST(ConfigIoDeath, CacheSizeKeysOutOfRangeAreFatal)
                     ::testing::ExitedWithCode(1), "out of range") << k;
         EXPECT_EXIT(applyConfigKey(cfg, k, "4294967297"),
                     ::testing::ExitedWithCode(1), "out of range") << k;
+    }
+}
+
+/** Latency keys and the 32-bit metadata knobs stop at 2^32 - 1: a
+ * larger value is a fatal naming the key, never a silent wrap. */
+TEST(ConfigIoDeath, LatencyAndMetadataKeysOutOfRangeAreFatal)
+{
+    const char *keys[] = {
+        "pcm.read_latency",       "pcm.write_latency",
+        "pcm.row_hit_read_latency", "crypto.sha1_latency",
+        "crypto.md5_latency",     "crypto.crc_latency",
+        "crypto.encrypt_latency", "crypto.compare_latency",
+        "metadata.refer_h_max",   "metadata.decay_delta",
+    };
+    for (const char *k : keys) {
+        SimConfig cfg;
+        EXPECT_TRUE(applyConfigKey(cfg, k, "4294967295")) << k;
+        EXPECT_EXIT(applyConfigKey(cfg, k, "4294967296"),
+                    ::testing::ExitedWithCode(1),
+                    std::string("config key '") + k +
+                        "': 4294967296 is out of range")
+            << k;
     }
 }
 

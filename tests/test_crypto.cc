@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <unordered_set>
+#include <vector>
 
 #include "common/random.hh"
 #include "crypto/aes.hh"
@@ -71,6 +72,51 @@ TEST(Sha1, Fingerprint64DiffersForDifferentLines)
     EXPECT_EQ(Sha1::fingerprint64(a), Sha1::fingerprint64(a));
 }
 
+/** The first 8 digest bytes read big-endian — what fingerprint64 must
+ * return. */
+template <typename Digest>
+std::uint64_t
+prefix64(const Digest &d)
+{
+    std::uint64_t fp = 0;
+    for (int i = 0; i < 8; ++i)
+        fp = (fp << 8) | d[i];
+    return fp;
+}
+
+/** The zero line, the all-0xff line, all 512 single-bit lines and
+ * @p random PCG lines. */
+std::vector<CacheLine>
+fingerprintCorpus(unsigned random)
+{
+    std::vector<CacheLine> lines;
+    lines.emplace_back();
+    CacheLine ones;
+    for (std::size_t i = 0; i < kLineSize; ++i)
+        ones[i] = 0xff;
+    lines.push_back(ones);
+    for (unsigned bit = 0; bit < kLineSize * 8; ++bit) {
+        CacheLine l;
+        l[bit / 8] = static_cast<std::uint8_t>(1u << (bit % 8));
+        lines.push_back(l);
+    }
+    Pcg32 rng(17);
+    for (unsigned i = 0; i < random; ++i) {
+        CacheLine l;
+        rng.fillLine(l);
+        lines.push_back(l);
+    }
+    return lines;
+}
+
+TEST(Sha1, Fingerprint64MatchesStreamingDigestPrefix)
+{
+    for (const CacheLine &l : fingerprintCorpus(100000)) {
+        ASSERT_EQ(Sha1::fingerprint64(l), prefix64(Sha1::digestLine(l)))
+            << Sha1::toHex(Sha1::digestLine(l));
+    }
+}
+
 // ----------------------------------------------------------------- MD5
 
 TEST(Md5, EmptyString)
@@ -92,6 +138,15 @@ TEST(Md5, QuickBrownFox)
               "9e107d9d372bb6826bd81d3542a419d6");
 }
 
+TEST(Md5, PaddingSpillsIntoSecondBlock)
+{
+    // 62 bytes: the 0x80 marker and length do not fit the first block.
+    const char *msg =
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
+    EXPECT_EQ(Md5::toHex(Md5::digest(msg, std::strlen(msg))),
+              "d174ab98d277d9f5a5611c2c9f419d9f");
+}
+
 TEST(Md5, StreamingMatchesOneShot)
 {
     Pcg32 rng(3);
@@ -103,6 +158,14 @@ TEST(Md5, StreamingMatchesOneShot)
     m.update(buf.data() + 100, 28);
     m.update(buf.data() + 128, buf.size() - 128);
     EXPECT_EQ(m.finish(), Md5::digest(buf.data(), buf.size()));
+}
+
+TEST(Md5, Fingerprint64MatchesStreamingDigestPrefix)
+{
+    for (const CacheLine &l : fingerprintCorpus(100000)) {
+        ASSERT_EQ(Md5::fingerprint64(l), prefix64(Md5::digestLine(l)))
+            << Md5::toHex(Md5::digestLine(l));
+    }
 }
 
 // ----------------------------------------------------------------- CRC

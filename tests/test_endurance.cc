@@ -30,7 +30,6 @@ TEST(WearTracker, CountsPerLine)
     EXPECT_EQ(s.totalWrites, 3u);
     EXPECT_EQ(s.linesTouched, 2u);
     EXPECT_EQ(s.maxLineWrites, 2u);
-    EXPECT_EQ(s.hottestLine, 0u);
     EXPECT_DOUBLE_EQ(w.lineWrites(0), 2);
 }
 
@@ -58,26 +57,6 @@ TEST(WearTracker, ResetClears)
     w.recordWrite(0);
     w.reset();
     EXPECT_EQ(w.stats().totalWrites, 0u);
-}
-
-TEST(WearTracker, HottestLineTieBreaksToLowestAddress)
-{
-    // Equally hot lines recorded high-address first, across channels
-    // and one far page (the AMT region): the lowest address wins,
-    // whatever the write order or channel layout.
-    for (unsigned channels : {1u, 3u, 8u}) {
-        WearTracker w(channels);
-        const Addr amt = 8ull << 30;
-        for (Addr a : {amt, Addr{64 * 900}, Addr{64 * 7}, Addr{64 * 5}}) {
-            w.recordWrite(a);
-            w.recordWrite(a);
-        }
-        w.recordWrite(64 * 2);  // colder
-        WearStats s = w.stats();
-        EXPECT_EQ(s.maxLineWrites, 2u);
-        EXPECT_EQ(s.hottestLine, Addr{64 * 5}) << channels << " channels";
-        EXPECT_EQ(s.linesTouched, 5u);
-    }
 }
 
 // --------------------------------------------------------- start-gap

@@ -212,5 +212,41 @@ TEST(LineTable, ErasedEntryReinsertsAsDefault)
     EXPECT_TRUE(fresh);
 }
 
+TEST(LineTable, CopyIsIndependentOfTheOriginal)
+{
+    // Paged and overflow entries on both sides: edits to either table
+    // after the copy never show in the other.
+    for (unsigned ch : {1u, 8u}) {
+        Table a(ch);
+        std::map<std::uint64_t, std::uint64_t> oracle;
+        for (std::uint64_t k = 0; k < 2 * kPage; ++k)
+            oracle[k] = a[k] = k + 1;
+        const std::uint64_t far = (8ull << 30) / 64;
+        oracle[far] = a[far] = 7;
+        ASSERT_GT(a.overflowEntries(), 0u);
+
+        Table b(a);
+        Table c(1);
+        c = a;
+        expectSame(b, oracle);
+        expectSame(c, oracle);
+
+        a[3] = 99;
+        a[far] = 98;
+        a.erase(5);
+        a[far + 1] = 1;
+        expectSame(b, oracle);
+        expectSame(c, oracle);
+
+        b[4] = 50;
+        b.erase(far);
+        c.clear();
+        EXPECT_EQ(*a.find(4), 5u);
+        EXPECT_EQ(*a.find(far), 98u);
+        EXPECT_EQ(a.size(), oracle.size());
+        EXPECT_TRUE(c.empty());
+    }
+}
+
 } // namespace
 } // namespace esd

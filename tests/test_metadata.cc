@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/random.hh"
 #include "dedup/amt.hh"
 #include "dedup/efit.hh"
 #include "dedup/fp_table.hh"
@@ -264,6 +266,84 @@ TEST(Amt, NvmBytesTracksEntries)
     amt.update(0, 64);
     amt.update(64, 128);
     EXPECT_EQ(amt.nvmBytes(), 2 * cfg.amtEntryBytes);
+}
+
+/**
+ * Random update / lookup / peek traffic over @p lines against a
+ * std::map oracle, at @p channels mapping-table channels.
+ */
+void
+fuzzAmt(unsigned channels, const std::vector<std::uint64_t> &lines,
+        std::uint64_t seed)
+{
+    MetadataConfig cfg = tinyMeta();
+    cfg.amtCacheBytes = 64 * kLineSize;  // 32 sets: 4 per shard at 8
+    Amt amt(cfg, 1 << 30, channels);
+    std::map<Addr, Addr> oracle;
+    Pcg32 rng(seed, 3);
+    for (unsigned i = 0; i < 20000; ++i) {
+        Addr logical =
+            lines[rng.below(static_cast<std::uint32_t>(lines.size()))] *
+            kLineSize;
+        auto it = oracle.find(logical);
+        switch (rng.below(3)) {
+          case 0: {
+            // 40-bit physical line index, the packed entry's reach.
+            Addr phys = (rng.next64() & ((1ull << 40) - 1)) * kLineSize;
+            amt.update(logical, phys);
+            oracle[logical] = phys;
+            break;
+          }
+          case 1: {
+            Amt::LookupResult r = amt.lookup(logical);
+            ASSERT_EQ(r.found, it != oracle.end()) << logical;
+            if (r.found) {
+                ASSERT_EQ(r.phys, it->second) << logical;
+            }
+            break;
+          }
+          default: {
+            std::optional<Addr> p = amt.peek(logical);
+            ASSERT_EQ(p.has_value(), it != oracle.end()) << logical;
+            if (p) {
+                ASSERT_EQ(*p, it->second) << logical;
+            }
+            break;
+          }
+        }
+        ASSERT_EQ(amt.mappingCount(), oracle.size());
+    }
+    for (const auto &[logical, phys] : oracle) {
+        ASSERT_EQ(amt.peek(logical), std::optional<Addr>(phys)) << logical;
+    }
+}
+
+TEST(Amt, MappingTableMatchesOracle)
+{
+    // Dense lines from 0; one channel's lines of an 8-way interleave
+    // (a pipeline shard); sparse lines around the 8 GiB region and up
+    // to 2^58 bytes, which the table holds in its overflow.
+    constexpr std::uint64_t kPage = LineTable<PackedPhys>::kPageLines;
+    std::vector<std::uint64_t> dense, strided, sparse;
+    for (std::uint64_t l = 0; l < 3 * kPage + 17; ++l)
+        dense.push_back(l);
+    for (std::uint64_t s = 0; s < 2 * kPage + 5; ++s)
+        strided.push_back(s * 8 + 7);
+    const std::uint64_t far[] = {(8ull << 30) / kLineSize,
+                                 (1ull << 58) / kLineSize - 4 * kPage};
+    for (std::uint64_t base : far) {
+        for (std::uint64_t off :
+             std::vector<std::uint64_t>{0, 1, kPage - 1, kPage, 7 * kPage})
+            sparse.push_back(base + off);
+    }
+    Pcg32 rng(5);
+    for (int i = 0; i < 64; ++i)
+        sparse.push_back(rng.next64() % ((1ull << 58) / kLineSize));
+    for (unsigned channels : {1u, 8u}) {
+        fuzzAmt(channels, dense, 10 + channels);
+        fuzzAmt(channels, strided, 20 + channels);
+        fuzzAmt(channels, sparse, 30 + channels);
+    }
 }
 
 // ---------------------------------------------------------------- EFIT
